@@ -48,9 +48,16 @@ from .linear import (
     lyapunov_gramian,
     quadratic_rate,
 )
-from .maxplus import CostMatrix, StationaryRates, evaluate_rate, max_balance_residual, shortest_path_closure
+from .maxplus import (
+    MAX_BALANCE_SIZE,
+    CostMatrix,
+    StationaryRates,
+    evaluate_rate,
+    max_balance_residual,
+    shortest_path_closure,
+)
 from .models import JumpAtom, LocalModel, affine_jump, constant_jump
-from .simulate import EmpiricalRate, SimConfig, empirical_rate, simulate, validation_report
+from .simulate import EmpiricalRate, SimConfig, bin_centers, empirical_rate, simulate, validation_report
 from .trees import stationary_rates
 
 
@@ -605,69 +612,74 @@ class RateReport:
         }
 
 
-def run_rates(spec: ProblemSpec, threads: int = 1) -> RateReport:
-    """Stationary rates and the rate function at the evaluation points.
+def _escape_costs(
+    spec: ProblemSpec,
+    model: LocalModel,
+    sources: Sequence[np.ndarray],
+    targets: np.ndarray,
+    tasks: list[tuple[int, int]],
+    threads: int,
+) -> tuple[np.ndarray, int]:
+    """Quasipotentials from ``sources[i]`` to ``targets[k]`` for every task ``(i, k)``.
 
-    Raises :class:`SolverError` when attractor search fails or too many
-    action minimizations do not converge, and :class:`BalanceError` when the
-    computed rates do not satisfy flux balance at the spec tolerance.
+    Every solve of the pipeline runs here, in task order.  Returns
+    ``costs[k, i]`` (zero where no task asked) and the number of unconverged
+    solves; raises :class:`SolverError` when that number exceeds the spec's
+    failure quota as a fraction of all tasks.
     """
-    model = spec.build_model()
-    equilibria, stable = _find_attractors(spec, model)
-    labels = tuple(f"a{i}" for i in range(len(stable)))
-    positions = [eq.position for eq in stable]
-    n_att = len(stable)
 
-    pair_tasks = [(i, j) for i in range(n_att) for j in range(n_att) if i != j]
-
-    def pair_worker(pair: tuple[int, int]) -> ActionValue:
-        i, j = pair
-        return quasipotential(
-            model,
-            positions[i],
-            positions[j],
-            sweep=spec.solver.t_sweep,
-            num_segments=spec.solver.path_points,
-            equilibrium_tol=spec.tolerances.equilibrium,
-            max_iterations=spec.solver.max_iterations,
-        )
-
-    pair_results = _map_ordered(pair_tasks, pair_worker, threads)
-
-    entries = np.zeros((n_att, n_att))
-    unconverged = 0
-    for (i, j), res in zip(pair_tasks, pair_results):
-        entries[i, j] = res.value
-        unconverged += 0 if res.converged else 1
-
-    point_tasks = [(i, k) for i in range(n_att) for k in range(spec.evaluation_points.shape[0])]
-
-    def point_worker(task: tuple[int, int]) -> ActionValue:
+    def solve(task: tuple[int, int]) -> ActionValue:
         i, k = task
         return quasipotential(
             model,
-            positions[i],
-            spec.evaluation_points[k],
+            sources[i],
+            targets[k],
             sweep=spec.solver.t_sweep,
             num_segments=spec.solver.path_points,
             equilibrium_tol=spec.tolerances.equilibrium,
             max_iterations=spec.solver.max_iterations,
         )
 
-    point_results = _map_ordered(point_tasks, point_worker, threads)
-    eval_costs = np.zeros((spec.evaluation_points.shape[0], n_att))
-    for (i, k), res in zip(point_tasks, point_results):
-        eval_costs[k, i] = res.value
-        unconverged += 0 if res.converged else 1
-
-    total_runs = len(pair_tasks) + len(point_tasks)
-    if total_runs and unconverged / total_runs > spec.tolerances.failure_quota:
+    results = _map_ordered(tasks, solve, threads)
+    unconverged = sum(not res.converged for res in results)
+    if tasks and unconverged / len(tasks) > spec.tolerances.failure_quota:
         raise SolverError(
-            f"{unconverged} of {total_runs} action minimizations failed to "
+            f"{unconverged} of {len(tasks)} action minimizations failed to "
             f"converge, above the failure quota {spec.tolerances.failure_quota:g}"
         )
+    costs = np.zeros((targets.shape[0], len(sources)))
+    for (i, k), res in zip(tasks, results):
+        costs[k, i] = res.value
+    return costs, unconverged
 
-    costs_raw = CostMatrix(labels, entries)
+
+def _solve_rates(
+    spec: ProblemSpec, threads: int, extra_points: np.ndarray
+) -> tuple[RateReport, LocalModel, np.ndarray]:
+    """The `rates` report, its model, and the rate function at ``extra_points``.
+
+    All escape costs, between attractors and from every attractor to the
+    evaluation points and then to ``extra_points``, are one batch of solves
+    that shares the failure quota.
+    """
+    model = spec.build_model()
+    equilibria, stable = _find_attractors(spec, model)
+    n_att = len(stable)
+    if n_att > MAX_BALANCE_SIZE:
+        raise SpecError(
+            f"found {n_att} stable attractors; rates are supported for at most "
+            f"{MAX_BALANCE_SIZE}, the largest set the balance check accepts"
+        )
+    labels = tuple(f"a{i}" for i in range(n_att))
+    positions = [eq.position for eq in stable]
+    n_eval = spec.evaluation_points.shape[0]
+    targets = np.concatenate([np.stack(positions), spec.evaluation_points, extra_points])
+    tasks = [(i, j) for i in range(n_att) for j in range(n_att) if i != j]
+    tasks += [(i, k) for i in range(n_att) for k in range(n_att, n_att + n_eval)]
+    tasks += [(i, k) for i in range(n_att) for k in range(n_att + n_eval, targets.shape[0])]
+    costs, unconverged = _escape_costs(spec, model, positions, targets, tasks, threads)
+
+    costs_raw = CostMatrix(labels, costs[:n_att].T)
     costs_closed = shortest_path_closure(costs_raw)
     try:
         rates = stationary_rates(costs_closed)
@@ -680,10 +692,9 @@ def run_rates(spec: ProblemSpec, threads: int = 1) -> RateReport:
             f"{spec.tolerances.balance:g}"
         )
 
-    eval_rates = np.array(
-        [evaluate_rate(rates, eval_costs[k]) for k in range(eval_costs.shape[0])]
-    )
-    return RateReport(
+    point_costs = costs[n_att:]
+    point_rates = np.array([evaluate_rate(rates, row) for row in point_costs])
+    report = RateReport(
         labels=labels,
         attractors=stable,
         equilibria=equilibria,
@@ -692,12 +703,25 @@ def run_rates(spec: ProblemSpec, threads: int = 1) -> RateReport:
         rates=rates,
         balance_residual=float(residual),
         evaluation_points=spec.evaluation_points,
-        evaluation_costs=eval_costs,
-        evaluation_rates=eval_rates,
+        evaluation_costs=point_costs[:n_eval],
+        evaluation_rates=point_rates[:n_eval],
         unconverged=unconverged,
-        total_runs=total_runs,
+        total_runs=len(tasks),
         provenance=_provenance(spec),
     )
+    return report, model, point_rates[n_eval:]
+
+
+def run_rates(spec: ProblemSpec, threads: int = 1) -> RateReport:
+    """Stationary rates and the rate function at the evaluation points.
+
+    Raises :class:`SpecError` when more than ``MAX_BALANCE_SIZE`` stable
+    attractors are found, :class:`SolverError` when attractor search fails
+    or too many action minimizations do not converge, and
+    :class:`BalanceError` when the computed rates do not satisfy flux
+    balance at the spec tolerance.
+    """
+    return _solve_rates(spec, threads, np.zeros((0, spec.dimension)))[0]
 
 
 def rates_csv_rows(report: RateReport) -> tuple[list[str], list[list[object]]]:
@@ -719,41 +743,13 @@ def _bin_edges(sim: SimulationSpec) -> list[np.ndarray]:
     ]
 
 
-def _rate_predictor(
-    spec: ProblemSpec, model: LocalModel, positions: list[np.ndarray], rates: StationaryRates, threads: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Rate-function evaluator over arbitrary point batches."""
-
-    def predict(points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        tasks = [(i, k) for i in range(len(positions)) for k in range(pts.shape[0])]
-
-        def worker(task: tuple[int, int]) -> float:
-            i, k = task
-            return quasipotential(
-                model,
-                positions[i],
-                pts[k],
-                sweep=spec.solver.t_sweep,
-                num_segments=spec.solver.path_points,
-                equilibrium_tol=spec.tolerances.equilibrium,
-                max_iterations=spec.solver.max_iterations,
-            ).value
-
-        values = _map_ordered(tasks, worker, threads)
-        costs = np.zeros((pts.shape[0], len(positions)))
-        for (i, k), v in zip(tasks, values):
-            costs[k, i] = v
-        return np.array([evaluate_rate(rates, costs[k]) for k in range(pts.shape[0])])
-
-    return predict
-
-
 def run_validate(
     spec: ProblemSpec, threads: int = 1, seed: int | None = None
 ) -> tuple[RateReport, list[ValidationRunResult]]:
     """Predictions from :func:`run_rates` against a simulation ladder.
 
+    The bin-center escape costs join the batch of solves of the `rates`
+    report, so they count toward its failure quota and ``solver_runs``.
     Each entry of ``simulation.n_values`` produces one simulated sample
     cloud, an empirical rate estimate on the spec bins, and a comparison
     against the predicted rate at the populated bin centers.
@@ -761,21 +757,13 @@ def run_validate(
     if spec.simulation is None:
         raise SpecError("validate requires a 'simulation' section in the problem spec")
     sim = spec.simulation
-    report = run_rates(spec, threads=threads)
-    model = spec.build_model()
-    positions = [eq.position for eq in report.attractors]
-    predict = _rate_predictor(spec, model, positions, report.rates, threads)
-
     edges = _bin_edges(sim)
-    centers_axes = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    mesh = np.meshgrid(*centers_axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=-1)
-    predicted_on_centers = predict(centers)
+    report, model, predicted = _solve_rates(spec, threads, bin_centers(edges))
 
     if sim.initial is not None:
         initial = sim.initial
     else:
-        initial = np.stack(positions)
+        initial = np.stack([eq.position for eq in report.attractors])
     reps = sim.replicas
     if initial.shape[0] != reps:
         initial = initial[np.arange(reps) % initial.shape[0]]
@@ -802,20 +790,9 @@ def run_validate(
         except ValueError as exc:
             # too few samples is a sizing problem in the simulation section
             raise SpecError(str(exc)) from None
-        rep = validation_report(lambda pts, _p=predicted_on_centers, _c=centers: _lookup(pts, _c, _p), emp)
+        rep = validation_report(predicted, emp)
         results.append(ValidationRunResult(n=n, empirical=emp, report=rep))
     return report, results
-
-
-def _lookup(points: np.ndarray, centers: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Match rows of ``points`` to precomputed ``centers`` values."""
-    out = np.empty(points.shape[0])
-    for idx, p in enumerate(points):
-        hits = np.where(np.all(np.isclose(centers, p, rtol=0.0, atol=1e-9), axis=1))[0]
-        if hits.size != 1:
-            raise RuntimeError("bin center lookup failed; edges changed between calls")
-        out[idx] = values[hits[0]]
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -212,9 +212,7 @@ def empirical_rate(samples: np.ndarray, edges: Sequence[np.ndarray] | np.ndarray
             raise ValueError("each edge array must be monotone with at least two entries")
     counts, _ = np.histogramdd(pts, bins=edge_list)
     counts = counts.reshape(-1)
-    centers_axes = [0.5 * (e[:-1] + e[1:]) for e in edge_list]
-    mesh = np.meshgrid(*centers_axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=-1)
+    centers = bin_centers(edge_list)
     pop = counts > 0
     total = counts.sum()
     rates = np.full(counts.shape, np.nan)
@@ -222,6 +220,16 @@ def empirical_rate(samples: np.ndarray, edges: Sequence[np.ndarray] | np.ndarray
         raw = -np.log(counts[pop] / total) / n
     rates[pop] = raw - raw.min()
     return EmpiricalRate(centers, counts.astype(int), rates, n, degenerate=bool(pop.sum() == 1))
+
+
+def bin_centers(edges: Sequence[np.ndarray]) -> np.ndarray:
+    """Centers of the rectangular grid cut by one edge array per axis.
+
+    Shape ``(bins, d)``, in the row-major order of ``np.histogramdd`` counts,
+    so row ``k`` is the center of flattened bin ``k``.
+    """
+    mesh = np.meshgrid(*[0.5 * (e[:-1] + e[1:]) for e in edges], indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,18 +259,18 @@ class ValidationReport:
             raise ValueError("prediction/empirical/error arrays must align")
 
 
-def validation_report(predicted: Callable[[np.ndarray], np.ndarray], empirical: EmpiricalRate) -> ValidationReport:
+def validation_report(predicted: np.ndarray, empirical: EmpiricalRate) -> ValidationReport:
     """Compare a rate prediction against an empirical estimate.
 
-    ``predicted`` maps an ``(M, d)`` array of bin centers to ``M`` rate
-    values.  Infinite predictions on populated bins count as infinite
-    error; censored bins are dropped from the comparison and only counted.
+    ``predicted`` holds one rate per bin, aligned with ``empirical.centers``.
+    Infinite predictions on populated bins count as infinite error; censored
+    bins are dropped from the comparison and only counted.
     """
+    pred = np.asarray(predicted, dtype=float)
+    if pred.shape != empirical.counts.shape:
+        raise ValueError(f"prediction has shape {pred.shape}, expected {empirical.counts.shape}")
     pop = empirical.populated
-    centers = empirical.centers[pop]
-    pred = np.asarray(predicted(centers), dtype=float)
-    if pred.shape != (centers.shape[0],):
-        raise ValueError(f"prediction returned shape {pred.shape}, expected ({centers.shape[0]},)")
+    pred = pred[pop]
     if np.isnan(pred).any():
         raise ValueError("prediction must not contain NaN on populated bins")
     if not np.isfinite(pred).any():
@@ -273,7 +281,7 @@ def validation_report(predicted: Callable[[np.ndarray], np.ndarray], empirical: 
     err = np.abs(pred_shift - emp_shift)
     return ValidationReport(
         n=empirical.n,
-        centers=centers,
+        centers=empirical.centers[pop],
         predicted=pred_shift,
         empirical=emp_shift,
         abs_errors=err,

@@ -276,10 +276,6 @@ def test_criterion_08_monte_carlo_ladder(verdict):
     assert abs(centers[saddle_idx]) < 1e-12
     assert predicted[saddle_idx] == pytest.approx(0.075, abs=0.01)
 
-    def predict(points):
-        idx = np.abs(points[:, None, 0] - centers[None, :]).argmin(axis=1)
-        return predicted[idx]
-
     replicas = 128
     initial = np.array([[-1.0], [1.0]])[np.arange(replicas) % 2]
     sups = []
@@ -291,7 +287,7 @@ def test_criterion_08_monte_carlo_ladder(verdict):
         )
         samples = simulate(model, cfg)
         emp = empirical_rate(samples, edges, n)
-        rep = validation_report(predict, emp)
+        rep = validation_report(predicted, emp)
         sups.append(rep.sup_error)
         if n == 80:
             saddle_rate = emp.rates[saddle_idx]

@@ -35,6 +35,18 @@ def ou_spec_dict(**extra):
     return spec
 
 
+SMALL_LADDER = {
+    "n_values": [30],
+    "dt": 0.01,
+    "burn_in": 2.0,
+    "horizon": 150.0,
+    "seed": 3,
+    "replicas": 8,
+    "stride": 5,
+    "bins": {"lower": [-0.9], "upper": [0.9], "count": 9},
+}
+
+
 def test_parse_round_trip_of_valid_spec():
     spec = parse_problem_spec(ou_spec_dict())
     assert spec.dimension == 1
@@ -216,25 +228,84 @@ def test_failure_quota_trips_solver_error(monkeypatch):
         run_rates(parse_problem_spec(raw))
 
 
+def test_failure_quota_counts_bin_center_solves(monkeypatch):
+    import quasipot.action as action
+    import quasipot.pipeline as pipeline
+
+    real = pipeline.quasipotential
+    centers = np.linspace(-0.8, 0.8, 9)
+
+    def sabotaged(model, source, target, *args, **kwargs):
+        res = real(model, source, target, *args, **kwargs)
+        if not np.isclose(centers, target[0]).any():
+            return res
+        return action.ActionValue(res.value, res.dual_iterations, False, res.failed_segments)
+
+    monkeypatch.setattr(pipeline, "quasipotential", sabotaged)
+    raw = ou_spec_dict(tolerances={"failure_quota": 0.1}, simulation=SMALL_LADDER)
+    with pytest.raises(SolverError, match="9 of 11"):
+        run_validate(parse_problem_spec(raw))
+
+
+def double_well_spec_dict(**extra):
+    return ou_spec_dict(
+        drift={"kind": "gradient_polynomial", "coefficients": [0.0, 0.0, -0.5, 0.0, 0.25]},
+        **extra,
+    )
+
+
+def record_solves(monkeypatch) -> list:
+    """Replace every solve by a cheap stand-in; return the (source, target) log."""
+    import quasipot.action as action
+    import quasipot.pipeline as pipeline
+
+    calls = []
+
+    def fake(model, source, target, *args, **kwargs):
+        calls.append((np.array(source), np.array(target)))
+        return action.ActionValue(float(np.sum((target - source) ** 2)), 0, True, ())
+
+    monkeypatch.setattr(pipeline, "quasipotential", fake)
+    return calls
+
+
+def test_every_solve_goes_through_quasipotential_once(monkeypatch):
+    calls = record_solves(monkeypatch)
+    spec = parse_problem_spec(double_well_spec_dict(simulation=SMALL_LADDER))
+    n, points, bins = 2, 2, 9
+
+    report = run_rates(spec)
+    assert len(report.attractors) == n
+    assert len(calls) == n * (n - 1) + n * points
+    assert report.to_dict()["solver_runs"]["total"] == len(calls)
+
+    rates_calls = len(calls)
+    report, _ = run_validate(spec)
+    assert len(calls) - rates_calls == n * (n - 1) + n * points + n * bins
+    assert report.to_dict()["solver_runs"]["total"] == len(calls) - rates_calls
+    assert not any(np.array_equal(source, target) for source, target in calls)
+
+
+@pytest.mark.parametrize("runner", [run_rates, run_validate])
+def test_too_many_attractors_refused_before_solving(monkeypatch, runner):
+    import quasipot.pipeline as pipeline
+
+    real = pipeline.find_equilibria
+    monkeypatch.setattr(pipeline, "find_equilibria", lambda *a, **k: real(*a, **k) * 21)
+    calls = record_solves(monkeypatch)
+    spec = parse_problem_spec(ou_spec_dict(simulation=SMALL_LADDER))
+    with pytest.raises(SpecError, match="found 21 stable attractors.*at most 20"):
+        runner(spec)
+    assert calls == []
+
+
 def test_run_validate_requires_simulation_section():
     with pytest.raises(SpecError, match="simulation"):
         run_validate(parse_problem_spec(ou_spec_dict()))
 
 
 def test_run_validate_small_ladder():
-    raw = ou_spec_dict(
-        evaluation_points=[],
-        simulation={
-            "n_values": [30],
-            "dt": 0.01,
-            "burn_in": 2.0,
-            "horizon": 150.0,
-            "seed": 3,
-            "replicas": 8,
-            "stride": 5,
-            "bins": {"lower": [-0.9], "upper": [0.9], "count": 9},
-        },
-    )
+    raw = ou_spec_dict(evaluation_points=[], simulation=SMALL_LADDER)
     spec = parse_problem_spec(raw)
     report, results = run_validate(spec)
     assert len(results) == 1

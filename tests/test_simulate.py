@@ -171,10 +171,7 @@ def test_validation_report_alignment_and_sup():
     counts = np.full(9, 2000)
     rates = centers[:, 0] ** 2
     emp = EmpiricalRate(centers, counts, rates, n=20, degenerate=False)
-
-    def predicted(points):
-        return points[:, 0] ** 2 + 0.3  # constant offset must not matter
-
+    predicted = centers[:, 0] ** 2 + 0.3  # constant offset must not matter
     rep = validation_report(predicted, emp)
     assert rep.sup_error == pytest.approx(0.0, abs=1e-12)
     assert rep.censored_bins == 0
@@ -184,9 +181,11 @@ def test_validation_report_rejects_bad_predictions():
     centers = np.linspace(-1.0, 1.0, 5)[:, None]
     emp = EmpiricalRate(centers, np.full(5, 100), centers[:, 0] ** 2, 20, False)
     with pytest.raises(ValueError, match="NaN"):
-        validation_report(lambda pts: np.full(pts.shape[0], np.nan), emp)
+        validation_report(np.full(5, np.nan), emp)
     with pytest.raises(ValueError):
-        validation_report(lambda pts: np.full(pts.shape[0], np.inf), emp)
+        validation_report(np.full(5, np.inf), emp)
+    with pytest.raises(ValueError, match="shape"):
+        validation_report(np.zeros(4), emp)
 
 
 def test_validation_report_skips_censored_bins():
@@ -194,6 +193,6 @@ def test_validation_report_skips_censored_bins():
     rates = np.array([0.0, 1.0, np.nan, 1.0, 0.0])
     counts = np.array([100, 10, 0, 10, 100])
     emp = EmpiricalRate(centers, counts, rates, 20, False)
-    rep = validation_report(lambda pts: np.zeros(pts.shape[0]), emp)
+    rep = validation_report(np.zeros(5), emp)
     assert rep.censored_bins == 1
     assert rep.predicted.shape[0] == 4
