@@ -9,7 +9,8 @@ costs between attractors of the zero-noise flow:
   solver that produces the unique balanced stationary rates.
 - :mod:`quasipot.models`: jump-diffusion model containers.
 - :mod:`quasipot.action`: the path action functional and its minimization,
-  giving inter-attractor quasipotentials.
+  giving inter-attractor quasipotentials, and their exact one-dimensional
+  form by Hamiltonian quadrature.
 - :mod:`quasipot.linear`: closed forms for linear drift (Gramian
   quasipotentials, finite-horizon optimal paths, escape profiles).
 - :mod:`quasipot.attractors`: equilibrium search and classification.
@@ -37,7 +38,14 @@ from .trees import (
     stationary_rates,
 )
 from .models import JumpAtom, LocalModel, Path, affine_jump, constant_jump
-from .action import ActionValue, local_lagrangian, minimize_action, path_action, quasipotential
+from .action import (
+    ActionValue,
+    local_lagrangian,
+    minimize_action,
+    path_action,
+    quasipotential,
+    quasipotential_1d,
+)
 from .linear import (
     LinearModel,
     escape_profile_limit,
@@ -85,6 +93,7 @@ __all__ = [
     "path_action",
     "quadratic_rate",
     "quasipotential",
+    "quasipotential_1d",
     "shortest_path_closure",
     "simulate",
     "stable_attractors",

@@ -14,6 +14,10 @@ infima of the action over paths and over growing horizons.
 The inner sup is a smooth strictly concave maximization solved by damped
 Newton iterations started from the Gaussian maximizer; with no jump
 channels that start is already exact.
+
+In one dimension the infimum has a closed form as a quadrature over the
+Hamiltonian's nonzero root, :func:`quasipotential_1d`, which needs neither
+paths nor horizons.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.integrate
 import scipy.optimize
 
 from .models import LocalModel, Path
@@ -441,3 +446,111 @@ def _hold_then_follow(path: Path, a: np.ndarray, horizon: float, num_segments: i
     t_new = np.linspace(0.0, horizon, num_segments + 1)
     out = np.column_stack([np.interp(t_new, t, pts[:, i]) for i in range(path.dim)])
     return Path(horizon, out)
+
+
+class _NoRoot(Exception):
+    """``H(y, p) / p`` keeps one sign in the direction of motion."""
+
+
+#: Largest momentum bracketed before a state counts as impassable.
+_MOMENTUM_REACH = 2.0**200
+
+
+def quasipotential_1d(
+    model: LocalModel,
+    attractor: Sequence[float],
+    target: Sequence[float],
+    *,
+    breakpoints: Sequence[float] = (),
+    equilibrium_tol: float = 1e-6,
+    cost_cap: float = COST_CAP,
+) -> ActionValue:
+    """Exact escape cost of a one-dimensional model by Hamiltonian quadrature.
+
+    ``V(a, x) = int max(0, s p*(y)) dy`` over the segment from ``a`` to
+    ``x``, with ``s = sign(x - a)`` and ``p*(y)`` the nonzero root of
+    ``H(y, p) = p b + c p^2 / 2 + sum_j nu_j (e^{p f_j} - 1 - p f_j)``, where
+    ``c = sigma sigma^T`` and ``f_j = f_j(y)``.  ``H`` is convex in ``p``
+    with ``H(y, 0) = 0`` and slope ``b`` there, so ``H / p`` is increasing
+    and vanishes on the side of ``-b``: only stretches where the drift
+    opposes the motion cost anything, and the root is bracketed there and
+    refined by ``brentq``.  Where ``H / p`` never changes sign in the
+    direction of motion no path passes, and the cost is infinite.
+
+    ``breakpoints`` (the equilibria, where the integrand has kinks) split
+    the quadrature.  ``converged`` means that every root solve converged
+    and the quadrature raised no warning; ``dual_iterations`` is the largest
+    root-solver iteration count.  Values reaching ``cost_cap`` are reported
+    as infinite.  The starting point must be an equilibrium of the drift
+    within ``equilibrium_tol``.
+    """
+    if model.dim != 1:
+        raise ValueError(f"quadrature escape costs need dimension 1, got {model.dim}")
+    a = np.asarray(attractor, dtype=float)
+    x = np.asarray(target, dtype=float)
+    if a.shape != (1,) or x.shape != (1,):
+        raise ValueError("attractor and target must be vectors of dimension 1")
+    speed = abs(float(model.drift_at(a[None, :])[0, 0]))
+    if speed > equilibrium_tol:
+        raise ValueError(
+            f"|b(attractor)| = {speed:.3g} exceeds equilibrium tolerance {equilibrium_tol:.3g}"
+        )
+
+    start, end = float(a[0]), float(x[0])
+    sign = 1.0 if end >= start else -1.0
+    nu = model.jump_rates
+    iterations, roots_converged = 0, True
+
+    def excess(y: float) -> float:
+        """``max(0, s p*(y))``: the cost per unit length at ``y``."""
+        nonlocal iterations, roots_converged
+        state = np.array([[y]])
+        b = float(model.drift_at(state)[0, 0])
+        if sign * b >= 0.0:
+            return 0.0
+        c = float(model.noise_covariance(state)[0, 0, 0])
+        f = model.jump_values(state)[0, :, 0]
+
+        def slope(p: float) -> float:
+            """``H(y, p) / p``."""
+            if p == 0.0:
+                return b
+            z = p * f
+            with np.errstate(over="ignore"):
+                jumps = float(np.sum(nu * (np.expm1(z) - z)))
+            return b + 0.5 * c * p + jumps / p
+
+        reach = 1.0
+        while sign * slope(sign * reach) <= 0.0:
+            reach *= 2.0
+            if reach > _MOMENTUM_REACH:
+                raise _NoRoot
+        lo, hi = sorted((0.0, sign * reach))
+        root, info = scipy.optimize.brentq(
+            slope, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps, full_output=True, disp=False
+        )
+        iterations = max(iterations, info.iterations)
+        roots_converged = roots_converged and info.converged
+        return sign * root
+
+    lo, hi = sorted((start, end))
+    inside = sorted({float(p) for p in breakpoints if lo < p < hi})
+    try:
+        # The far end first: a target past the last passable state is
+        # unreachable even if no quadrature node lands beyond that state.
+        excess(end)
+        value, _abserr, _info, *warning = scipy.integrate.quad(
+            excess,
+            lo,
+            hi,
+            points=inside or None,
+            limit=200,
+            epsabs=1e-13,
+            epsrel=1e-12,
+            full_output=1,
+        )
+    except _NoRoot:
+        return ActionValue(math.inf, iterations, roots_converged)
+    if value >= cost_cap:
+        value = math.inf
+    return ActionValue(value, iterations, roots_converged and not warning)

@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .action import DEFAULT_SWEEP, ActionValue, quasipotential
+from . import action
+from .action import DEFAULT_SWEEP, ActionValue, quasipotential_1d
 from .attractors import (
     CLASSIFICATION_MARGIN,
     Equilibrium,
@@ -612,9 +613,45 @@ class RateReport:
         }
 
 
+def quasipotential(
+    model: LocalModel,
+    attractor: np.ndarray,
+    target: np.ndarray,
+    *,
+    equilibria: np.ndarray,
+    sweep: Sequence[float],
+    num_segments: int,
+    equilibrium_tol: float,
+    max_iterations: int,
+) -> ActionValue:
+    """One escape-cost solve of the pipeline; every solve calls this name.
+
+    One-dimensional models get the exact quadrature
+    :func:`~quasipot.action.quasipotential_1d`, split at the
+    ``equilibria`` (positions, one per row), and ignore the horizon sweep
+    and path settings; reports name this method ``hamiltonian_quadrature``.
+    Every other dimension minimizes the action with
+    :func:`quasipot.action.quasipotential`, the ``minimum_action`` method.
+    """
+    if model.dim == 1:
+        return quasipotential_1d(
+            model, attractor, target, breakpoints=equilibria[:, 0], equilibrium_tol=equilibrium_tol
+        )
+    return action.quasipotential(
+        model,
+        attractor,
+        target,
+        sweep=sweep,
+        num_segments=num_segments,
+        equilibrium_tol=equilibrium_tol,
+        max_iterations=max_iterations,
+    )
+
+
 def _escape_costs(
     spec: ProblemSpec,
     model: LocalModel,
+    equilibria: list[Equilibrium],
     sources: Sequence[np.ndarray],
     targets: np.ndarray,
     tasks: list[tuple[int, int]],
@@ -622,11 +659,14 @@ def _escape_costs(
 ) -> tuple[np.ndarray, int]:
     """Quasipotentials from ``sources[i]`` to ``targets[k]`` for every task ``(i, k)``.
 
-    Every solve of the pipeline runs here, in task order.  Returns
+    Every solve of the pipeline runs here, in task order, through the
+    module-level :func:`quasipotential` looked up at call time, with the
+    ``equilibria`` as the 1-D quadrature's breakpoints.  Returns
     ``costs[k, i]`` (zero where no task asked) and the number of unconverged
     solves; raises :class:`SolverError` when that number exceeds the spec's
     failure quota as a fraction of all tasks.
     """
+    positions = np.stack([eq.position for eq in equilibria])
 
     def solve(task: tuple[int, int]) -> ActionValue:
         i, k = task
@@ -634,6 +674,7 @@ def _escape_costs(
             model,
             sources[i],
             targets[k],
+            equilibria=positions,
             sweep=spec.solver.t_sweep,
             num_segments=spec.solver.path_points,
             equilibrium_tol=spec.tolerances.equilibrium,
@@ -644,7 +685,7 @@ def _escape_costs(
     unconverged = sum(not res.converged for res in results)
     if tasks and unconverged / len(tasks) > spec.tolerances.failure_quota:
         raise SolverError(
-            f"{unconverged} of {len(tasks)} action minimizations failed to "
+            f"{unconverged} of {len(tasks)} escape-cost solves failed to "
             f"converge, above the failure quota {spec.tolerances.failure_quota:g}"
         )
     costs = np.zeros((targets.shape[0], len(sources)))
@@ -677,7 +718,7 @@ def _solve_rates(
     tasks = [(i, j) for i in range(n_att) for j in range(n_att) if i != j]
     tasks += [(i, k) for i in range(n_att) for k in range(n_att, n_att + n_eval)]
     tasks += [(i, k) for i in range(n_att) for k in range(n_att + n_eval, targets.shape[0])]
-    costs, unconverged = _escape_costs(spec, model, positions, targets, tasks, threads)
+    costs, unconverged = _escape_costs(spec, model, equilibria, positions, targets, tasks, threads)
 
     costs_raw = CostMatrix(labels, costs[:n_att].T)
     costs_closed = shortest_path_closure(costs_raw)
@@ -707,7 +748,10 @@ def _solve_rates(
         evaluation_rates=point_rates[:n_eval],
         unconverged=unconverged,
         total_runs=len(tasks),
-        provenance=_provenance(spec),
+        provenance={
+            **_provenance(spec),
+            "escape_cost_method": "hamiltonian_quadrature" if spec.dimension == 1 else "minimum_action",
+        },
     )
     return report, model, point_rates[n_eval:]
 
@@ -717,7 +761,7 @@ def run_rates(spec: ProblemSpec, threads: int = 1) -> RateReport:
 
     Raises :class:`SpecError` when more than ``MAX_BALANCE_SIZE`` stable
     attractors are found, :class:`SolverError` when attractor search fails
-    or too many action minimizations do not converge, and
+    or too many escape-cost solves do not converge, and
     :class:`BalanceError` when the computed rates do not satisfy flux
     balance at the spec tolerance.
     """

@@ -13,6 +13,11 @@ Frozen oracles used here:
 - Symmetric double well b = x - x^3: the escape cost from a well to the
   saddle is 2 * (barrier height) = 1/2 exactly (time-reversed descent
   path), attained in the long-horizon limit.
+- OU b = -y, sigma = 1 with one jump channel of size 0.4 at rate 0.8: the
+  escape cost from 0 to 0.8 is 0.55864329896102.  Two independent
+  quadratures of the Hamiltonian's nonzero root agree on it to 1e-15:
+  brentq roots under adaptive ``quad``, and 200-step vectorized bisection
+  under composite Simpson on 200001 nodes.
 """
 
 import numpy as np
@@ -26,10 +31,13 @@ from quasipot.action import (
     minimize_action,
     path_action,
     quasipotential,
+    quasipotential_1d,
 )
 from quasipot.models import JumpAtom, LocalModel, Path, constant_jump
 
 JUMP_DUAL_ORACLE = 0.39353323285015607
+JUMP_OU_ORACLE = 0.55864329896102
+DOUBLE_WELL = [0.0, 0.0, -0.5, 0.0, 0.25]
 
 
 def gaussian_model(dim=1, sigma=None):
@@ -254,3 +262,108 @@ def test_quasipotential_extending_sweep_never_increases_value():
         model, [0.0], [1.0], sweep=(2.0, 5.0, 10.0), num_segments=100
     )
     assert longer.value <= short.value + 1e-12
+
+
+# -- exact one-dimensional escape costs --------------------------------------
+
+
+def double_well_model():
+    dcoeffs = np.polynomial.polynomial.polyder(DOUBLE_WELL)
+
+    def drift(y):
+        y = np.asarray(y, dtype=float)
+        return -np.polynomial.polynomial.polyval(y[..., 0], dcoeffs)[..., None]
+
+    return LocalModel(1, drift, np.eye(1))
+
+
+def jump_ou_model(sigma=1.0, size=0.4):
+    atom = JumpAtom(0.8, constant_jump([size]))
+    return LocalModel(1, lambda y: -np.asarray(y, dtype=float), np.array([[sigma]]), (atom,))
+
+
+@pytest.mark.parametrize("x", [-1.3, 0.5, 2.0])
+def test_quasipotential_1d_ou_closed_form(x):
+    res = quasipotential_1d(gaussian_model(1), [0.0], [x])
+    assert res.converged
+    assert res.value == pytest.approx(x * x, abs=1e-10)
+    # a 1 x 2 diffusion matrix enters through c = sum of squares
+    wide = gaussian_model(1, [[1.0, 0.5]])
+    assert quasipotential_1d(wide, [0.0], [x]).value == pytest.approx(x * x / 1.25, abs=1e-10)
+
+
+@pytest.mark.parametrize("breakpoints", [(), (-1.0, 0.0, 1.0)])
+def test_quasipotential_1d_double_well_exact(breakpoints):
+    def potential(x):
+        return np.polynomial.polynomial.polyval(x, DOUBLE_WELL)
+
+    model = double_well_model()
+    to_saddle = quasipotential_1d(model, [-1.0], [0.0], breakpoints=breakpoints)
+    assert to_saddle.converged
+    assert to_saddle.value == pytest.approx(0.5, abs=1e-10)
+    # climbs -1 -> 0 and 1 -> 1.5; the descent 0 -> 1 is free
+    across = quasipotential_1d(model, [-1.0], [1.5], breakpoints=breakpoints)
+    climbs = 2 * (potential(0.0) - potential(-1.0)) + 2 * (potential(1.5) - potential(1.0))
+    assert across.converged
+    assert across.value == pytest.approx(climbs, abs=1e-10)
+
+
+def test_quasipotential_1d_at_the_attractor_is_zero():
+    res = quasipotential_1d(jump_ou_model(), [0.0], [0.0])
+    assert res.value == 0.0
+    assert res.converged
+
+
+def test_quasipotential_1d_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="equilibrium"):
+        quasipotential_1d(gaussian_model(1), [0.5], [1.0])
+    with pytest.raises(ValueError, match="dimension 1"):
+        quasipotential_1d(gaussian_model(2), [0.0, 0.0], [1.0, 0.0])
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_quasipotential_1d_extra_jump_channel_never_increases_cost(seed):
+    rng = np.random.default_rng(seed)
+    sigma = float(rng.uniform(0.5, 2.0))
+    size = float(rng.uniform(0.05, 1.5)) * (1 if rng.random() < 0.5 else -1)
+    target = [float(rng.uniform(-2.0, 2.0))]
+    base = quasipotential_1d(gaussian_model(1, [[sigma]]), [0.0], target)
+    richer = quasipotential_1d(jump_ou_model(sigma, size), [0.0], target)
+    assert base.converged and richer.converged
+    assert richer.value <= base.value + 1e-12
+
+
+def test_quasipotential_1d_unreachable_target_is_infinite():
+    # Without diffusion the jumps (+0.5 at rate 0.8) are the only way left;
+    # they hold the state against the drift -y only while |y| < 0.4.
+    model = jump_ou_model(sigma=0.0, size=0.5)
+    beyond = quasipotential_1d(model, [0.0], [-0.5])
+    assert beyond.value == np.inf
+    assert beyond.converged
+    assert np.isfinite(quasipotential_1d(model, [0.0], [-0.3]).value)
+    assert np.isfinite(quasipotential_1d(model, [0.0], [0.5]).value)
+
+
+def test_quasipotential_1d_jump_oracle():
+    res = quasipotential_1d(jump_ou_model(), [0.0], [0.8], breakpoints=(0.0,))
+    assert res.converged
+    assert res.value == pytest.approx(JUMP_OU_ORACLE, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def jump_ou_minimized():
+    return quasipotential(jump_ou_model(), [0.0], [0.8], sweep=(5.0, 10.0), num_segments=100)
+
+
+def test_quasipotential_with_jumps_matches_quadrature(jump_ou_minimized):
+    assert jump_ou_minimized.value == pytest.approx(JUMP_OU_ORACLE, abs=1e-4)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the dual Newton solve stalls just above its gradient tolerance in some "
+    "segments, so the jump solve is flagged unconverged although its value is right",
+)
+def test_quasipotential_with_jumps_converges(jump_ou_minimized):
+    assert jump_ou_minimized.converged

@@ -1,10 +1,22 @@
 """End-to-end command line runs against temporary spec files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from quasipot import cli
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+#: V(0, x) of the unit OU process with jumps of size 0.4 at rate 0.8, from two
+#: independent quadratures of the Hamiltonian's nonzero root (agreeing to 1e-15).
+OU_JUMP_COSTS = {
+    -1.0: 0.900964494971189,
+    -0.5: 0.22352276801514132,
+    0.5: 0.21955614458164532,
+    1.0: 0.8691634068182839,
+}
 
 
 def write_spec(tmp_path, payload, name="problem.json"):
@@ -163,3 +175,18 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert cli.main(["rates", "--spec", spec, "--out", str(out_b), "--threads", "3"]) == 0
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
     assert (out_a / "rates.csv").read_bytes() == (out_b / "rates.csv").read_bytes()
+
+
+def test_rates_on_one_dimensional_jump_spec(tmp_path):
+    payload = json.loads((SPECS / "ou1d.json").read_text())
+    payload["jumps"] = [{"rate": 0.8, "vector": [0.4]}]
+    spec = write_spec(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main(["rates", "--spec", spec, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver_runs"] == {"total": 4, "unconverged": 0}
+    assert report["provenance"]["escape_cost_method"] == "hamiltonian_quadrature"
+    for entry in report["evaluation"]:
+        want = OU_JUMP_COSTS[entry["point"][0]]
+        assert entry["costs_from_attractors"][0] == pytest.approx(want, abs=1e-10)
+        assert entry["rate"] == pytest.approx(want, abs=1e-10)

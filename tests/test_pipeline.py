@@ -299,6 +299,45 @@ def test_too_many_attractors_refused_before_solving(monkeypatch, runner):
     assert calls == []
 
 
+PLANE_SPEC = {
+    "dimension": 2,
+    "drift": {"kind": "linear", "matrix": [[-1.0, 0.0], [0.0, -1.0]]},
+    "diffusion": [[1.0, 0.0], [0.0, 1.0]],
+    "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "resolution": 3},
+    "evaluation_points": [[0.5, 0.0]],
+}
+
+
+class MinimizerReached(Exception):
+    pass
+
+
+def test_one_dimensional_solves_skip_the_minimizer(monkeypatch):
+    import quasipot.action as action
+
+    def refuse(*args, **kwargs):
+        raise MinimizerReached
+
+    monkeypatch.setattr(action, "minimize_action", refuse)
+    spec = parse_problem_spec(double_well_spec_dict(simulation=SMALL_LADDER))
+    report = run_rates(spec)
+    assert report.unconverged == 0
+    # I(0.5) = 2 (U(0.5) - U(1)) = 9/32 exactly
+    assert report.evaluation_rates[1] == pytest.approx(9 / 32, abs=1e-10)
+    assert report.to_dict()["provenance"]["escape_cost_method"] == "hamiltonian_quadrature"
+    report, results = run_validate(spec)
+    assert report.unconverged == 0 and len(results) == 1
+    assert report.provenance["escape_cost_method"] == "hamiltonian_quadrature"
+    with pytest.raises(MinimizerReached):
+        run_rates(parse_problem_spec(PLANE_SPEC))
+
+
+def test_provenance_names_the_minimizer_beyond_one_dimension(monkeypatch):
+    record_solves(monkeypatch)
+    report = run_rates(parse_problem_spec(PLANE_SPEC))
+    assert report.to_dict()["provenance"]["escape_cost_method"] == "minimum_action"
+
+
 def test_run_validate_requires_simulation_section():
     with pytest.raises(SpecError, match="simulation"):
         run_validate(parse_problem_spec(ou_spec_dict()))
