@@ -463,7 +463,6 @@ def quasipotential_1d(
     *,
     breakpoints: Sequence[float] = (),
     equilibrium_tol: float = 1e-6,
-    cost_cap: float = COST_CAP,
 ) -> ActionValue:
     """Exact escape cost of a one-dimensional model by Hamiltonian quadrature.
 
@@ -480,7 +479,7 @@ def quasipotential_1d(
     ``breakpoints`` (the equilibria, where the integrand has kinks) split
     the quadrature.  ``converged`` means that every root solve converged
     and the quadrature raised no warning; ``dual_iterations`` is the largest
-    root-solver iteration count.  Values reaching ``cost_cap`` are reported
+    root-solver iteration count.  Values reaching ``COST_CAP`` are reported
     as infinite.  The starting point must be an equilibrium of the drift
     within ``equilibrium_tol``.
     """
@@ -551,6 +550,6 @@ def quasipotential_1d(
         )
     except _NoRoot:
         return ActionValue(math.inf, iterations, roots_converged)
-    if value >= cost_cap:
+    if value >= COST_CAP:
         value = math.inf
     return ActionValue(value, iterations, roots_converged and not warning)

@@ -613,12 +613,17 @@ class RateReport:
         }
 
 
+def _escape_cost_method(dim: int) -> str:
+    """Name of the method :func:`quasipotential` uses in dimension ``dim``."""
+    return "hamiltonian_quadrature" if dim == 1 else "minimum_action"
+
+
 def quasipotential(
     model: LocalModel,
     attractor: np.ndarray,
     target: np.ndarray,
     *,
-    equilibria: np.ndarray,
+    equilibria: Sequence[Equilibrium],
     sweep: Sequence[float],
     num_segments: int,
     equilibrium_tol: float,
@@ -626,16 +631,19 @@ def quasipotential(
 ) -> ActionValue:
     """One escape-cost solve of the pipeline; every solve calls this name.
 
-    One-dimensional models get the exact quadrature
-    :func:`~quasipot.action.quasipotential_1d`, split at the
-    ``equilibria`` (positions, one per row), and ignore the horizon sweep
-    and path settings; reports name this method ``hamiltonian_quadrature``.
-    Every other dimension minimizes the action with
-    :func:`quasipot.action.quasipotential`, the ``minimum_action`` method.
+    The method is :func:`_escape_cost_method` of the model's dimension.
+    ``hamiltonian_quadrature`` (one dimension) is the exact
+    :func:`~quasipot.action.quasipotential_1d`, split at the ``equilibria``;
+    it ignores the horizon sweep and path settings.  ``minimum_action``
+    minimizes the action with :func:`quasipot.action.quasipotential`.
     """
-    if model.dim == 1:
+    if _escape_cost_method(model.dim) == "hamiltonian_quadrature":
         return quasipotential_1d(
-            model, attractor, target, breakpoints=equilibria[:, 0], equilibrium_tol=equilibrium_tol
+            model,
+            attractor,
+            target,
+            breakpoints=[eq.position[0] for eq in equilibria],
+            equilibrium_tol=equilibrium_tol,
         )
     return action.quasipotential(
         model,
@@ -666,15 +674,13 @@ def _escape_costs(
     solves; raises :class:`SolverError` when that number exceeds the spec's
     failure quota as a fraction of all tasks.
     """
-    positions = np.stack([eq.position for eq in equilibria])
-
     def solve(task: tuple[int, int]) -> ActionValue:
         i, k = task
         return quasipotential(
             model,
             sources[i],
             targets[k],
-            equilibria=positions,
+            equilibria=equilibria,
             sweep=spec.solver.t_sweep,
             num_segments=spec.solver.path_points,
             equilibrium_tol=spec.tolerances.equilibrium,
@@ -750,7 +756,7 @@ def _solve_rates(
         total_runs=len(tasks),
         provenance={
             **_provenance(spec),
-            "escape_cost_method": "hamiltonian_quadrature" if spec.dimension == 1 else "minimum_action",
+            "escape_cost_method": _escape_cost_method(model.dim),
         },
     )
     return report, model, point_rates[n_eval:]
