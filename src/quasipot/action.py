@@ -23,7 +23,7 @@ paths nor horizons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,16 @@ DEFAULT_SWEEP = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 
 #: Action values at or above this are reported as unreachable (infinite).
 COST_CAP = 1e6
+
+# Dual Newton solve: iteration cap, and the max-norm gradient that converges a row.
+_DUAL_MAX_ITER = 50
+_DUAL_GRAD_TOL = 1e-10
+# minimize_action: central-difference step of dL/dy, max-norm gradient
+# tolerance, and the stagnation test (see its docstring).
+_FD_STEP = 1e-6
+_MINIMIZE_GRAD_TOL = 1e-6
+_STAGNATION_TOL = 1e-8
+_STAGNATION_WINDOW = 100
 
 
 @dataclass(frozen=True)
@@ -65,36 +75,38 @@ class ActionValue:
             raise ValueError(f"action value must be nonnegative, got {self.value}")
 
 
+def _jump_cumulant(nu: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``sum_j nu_j (e^{z_j} - 1 - z_j)`` over the last axis of ``z``."""
+    with np.errstate(over="ignore"):
+        return (nu * (np.expm1(z) - z)).sum(axis=-1)
+
+
+def _dual_value(
+    lam: np.ndarray, w: np.ndarray, cov: np.ndarray, nu: np.ndarray, f: np.ndarray
+) -> np.ndarray:
+    """``l . w - l^T c l / 2 - sum_j nu_j (e^{l . f_j} - 1 - l . f_j)``, the dual, per row."""
+    val = np.einsum("md,md->m", lam, w) - 0.5 * np.einsum("md,mde,me->m", lam, cov, lam)
+    if len(nu):
+        val = val - _jump_cumulant(nu, np.einsum("mjd,md->mj", f, lam))
+    return val
+
+
 def _dual_batch(
-    w: np.ndarray,
-    cov: np.ndarray,
-    nu: np.ndarray,
-    f: np.ndarray,
-    max_iter: int = 50,
-    grad_tol: float = 1e-10,
+    w: np.ndarray, cov: np.ndarray, nu: np.ndarray, f: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Maximize the dual for a batch of (state, velocity) pairs.
 
     ``w``: (M, d) velocity minus drift; ``cov``: (M, d, d) diffusion
     covariance; ``nu``: (J,) jump rates; ``f``: (M, J, d) jump sizes.
     Returns (values, maximizers, iterations used, per-row convergence).
+
+    A row converges when its max-norm gradient is at most ``_DUAL_GRAD_TOL``,
+    or when its Newton gain ``g^T H^{-1} g / 2`` is below the rounding error
+    of the dual's own terms, so that no step can raise the value measurably
+    (the Newton-decrement stopping rule, Boyd & Vandenberghe 2004, 9.5).
     """
     M, d = w.shape
     J = len(nu)
-
-    def objective(lam: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        if rows is None:
-            ww, cc, ff = w, cov, f
-        else:
-            ww, cc, ff = w[rows], cov[rows], f[rows]
-        val = np.einsum("md,md->m", lam, ww) - 0.5 * np.einsum(
-            "md,mde,me->m", lam, cc, lam
-        )
-        if J:
-            z = np.einsum("mjd,md->mj", ff, lam)
-            with np.errstate(over="ignore"):
-                val = val - (nu * (np.expm1(z) - z)).sum(axis=1)
-        return val
 
     # Gaussian maximizer as the starting point.  If the diffusion block is
     # singular the full local covariance (guaranteed invertible by the
@@ -104,7 +116,7 @@ def _dual_batch(
     except np.linalg.LinAlgError:
         full = cov + np.einsum("j,mjd,mje->mde", nu, f, f)
         lam = np.linalg.solve(full, w[..., None])[..., 0]
-    val = objective(lam)
+    val = _dual_value(lam, w, cov, nu, f)
     # The dual is 0 at lam = 0, so the sup is never negative.  Rows where the
     # Gaussian start lands below that (strong jump terms) or overflows restart
     # from 0; Newton then climbs monotonically, keeping every value >= 0.
@@ -113,6 +125,7 @@ def _dual_batch(
         lam[bad] = 0.0
         val[bad] = 0.0
     stalled = np.zeros(M, dtype=bool)
+    retired = np.zeros(M, dtype=bool)
     iters = 0
 
     def gradient(lam: np.ndarray) -> np.ndarray:
@@ -124,16 +137,16 @@ def _dual_batch(
             g = g - np.einsum("j,mj,mjd->md", nu, ez, f)
         return g
 
-    for _ in range(max_iter):
+    for _ in range(_DUAL_MAX_ITER):
         grad = gradient(lam)
         gnorm = np.abs(grad).max(axis=1)
-        active = (gnorm > grad_tol) & ~stalled & np.isfinite(gnorm)
+        active = (gnorm > _DUAL_GRAD_TOL) & ~stalled & ~retired & np.isfinite(gnorm)
         if not active.any():
             break
         iters += 1
         hess = cov.copy()
+        z = np.einsum("mjd,md->mj", f, lam)
         if J:
-            z = np.einsum("mjd,md->mj", f, lam)
             expz = np.exp(np.minimum(z, 700.0))
             hess = hess + np.einsum("j,mj,mjd,mje->mde", nu, expz, f, f)
         delta = np.zeros_like(lam)
@@ -147,8 +160,21 @@ def _dual_batch(
                 except np.linalg.LinAlgError:
                     stalled[r] = True
             rows = np.where(active & ~stalled)[0]
-            if rows.size == 0:
-                continue
+        # Retire rows whose Newton gain is below the rounding error of the
+        # dual's terms: the line search could only stall on them.
+        lam_r, z_r = lam[rows], z[rows]
+        gain = 0.5 * np.einsum("md,md->m", grad[rows], delta[rows])
+        with np.errstate(over="ignore"):
+            noise = (
+                np.abs(np.einsum("md,md->m", lam_r, w[rows]))
+                + 0.5 * np.abs(np.einsum("md,mde,me->m", lam_r, cov[rows], lam_r))
+                + (nu * (np.abs(np.expm1(z_r)) + np.abs(z_r))).sum(axis=1)
+            )
+        done = gain <= 4.0 * np.finfo(float).eps * noise
+        retired[rows[done]] = True
+        rows = rows[~done]
+        if rows.size == 0:
+            continue
         # Damped step: halve until the concave objective strictly improves.
         step = np.ones(rows.size)
         pending = np.ones(rows.size, dtype=bool)
@@ -157,7 +183,7 @@ def _dual_batch(
             if sub.size == 0:
                 break
             trial = lam[sub] + step[pending, None] * delta[sub]
-            tval = objective(trial, sub)
+            tval = _dual_value(trial, w[sub], cov[sub], nu, f[sub])
             good = np.isfinite(tval) & (tval > val[sub])
             take = sub[good]
             lam[take] = trial[good]
@@ -169,7 +195,7 @@ def _dual_batch(
         stalled[rows[pending]] = True
 
     grad = gradient(lam)
-    converged = np.abs(grad).max(axis=1) <= grad_tol
+    converged = retired | (np.abs(grad).max(axis=1) <= _DUAL_GRAD_TOL)
     return val, lam, iters, converged
 
 
@@ -179,6 +205,18 @@ def _dual_inputs(model: LocalModel, y: np.ndarray, v: np.ndarray):
     f = model.jump_values(y)
     nu = model.jump_rates
     return w, cov, nu, f
+
+
+def _chords(points: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and chord velocities of the segments of a discrete path."""
+    return 0.5 * (points[:-1] + points[1:]), (points[1:] - points[:-1]) / dt
+
+
+def _action(model: LocalModel, y: np.ndarray, v: np.ndarray, dt: float) -> ActionValue:
+    """``dt * sum_k L(y_k, v_k)``, with the rows whose dual solve did not converge."""
+    val, _, iters, conv = _dual_batch(*_dual_inputs(model, y, v))
+    failed = tuple(int(k) for k in np.where(~conv)[0])
+    return ActionValue(float((dt * val).sum()), iters, not failed, failed)
 
 
 def local_lagrangian(model: LocalModel, y: Sequence[float], v: Sequence[float]) -> ActionValue:
@@ -191,25 +229,7 @@ def local_lagrangian(model: LocalModel, y: Sequence[float], v: Sequence[float]) 
     if y.shape[1] != model.dim or v.shape != y.shape:
         raise ValueError(f"state and velocity must have dimension {model.dim}")
     model.assert_nondegenerate(y)
-    val, _, iters, conv = _dual_batch(*_dual_inputs(model, y, v))
-    return ActionValue(float(val[0]), iters, bool(conv[0]), () if conv[0] else (0,))
-
-
-def _segment_values(
-    model: LocalModel, left: np.ndarray, right: np.ndarray, dt: float
-) -> np.ndarray:
-    """Midpoint-rule contribution ``dt * L(midpoint, chord velocity)`` per segment."""
-    y = 0.5 * (left + right)
-    v = (right - left) / dt
-    val, _, _, _ = _dual_batch(*_dual_inputs(model, y, v))
-    return dt * val
-
-
-def _segment_values_full(model: LocalModel, points: np.ndarray, dt: float):
-    y = 0.5 * (points[:-1] + points[1:])
-    v = (points[1:] - points[:-1]) / dt
-    val, _, iters, conv = _dual_batch(*_dual_inputs(model, y, v))
-    return dt * val, iters, conv
+    return _action(model, y, v, 1.0)
 
 
 def path_action(model: LocalModel, path: Path) -> ActionValue:
@@ -220,15 +240,13 @@ def path_action(model: LocalModel, path: Path) -> ActionValue:
     """
     if path.dim != model.dim:
         raise ValueError(f"path dimension {path.dim} does not match model {model.dim}")
-    mid = 0.5 * (path.points[:-1] + path.points[1:])
-    model.assert_nondegenerate(mid)
-    terms, iters, conv = _segment_values_full(model, path.points, path.dt)
-    failed = tuple(int(k) for k in np.where(~conv)[0])
-    return ActionValue(float(terms.sum()), iters, not failed, failed)
+    y, v = _chords(path.points, path.dt)
+    model.assert_nondegenerate(y)
+    return _action(model, y, v, path.dt)
 
 
 def _value_and_gradient(
-    model: LocalModel, points: np.ndarray, dt: float, h: float
+    model: LocalModel, points: np.ndarray, dt: float
 ) -> tuple[float, np.ndarray]:
     """Discrete action and its gradient with respect to interior nodes.
 
@@ -241,30 +259,16 @@ def _value_and_gradient(
     chord-velocity term.
     """
     n_seg, d = points.shape[0] - 1, points.shape[1]
-    y = 0.5 * (points[:-1] + points[1:])
-    v = (points[1:] - points[:-1]) / dt
-    w, cov, nu, f = _dual_inputs(model, y, v)
-    val, lam, _, _ = _dual_batch(w, cov, nu, f)
-    j = len(nu)
-
-    def dual_at(yy: np.ndarray) -> np.ndarray:
-        """Dual objective at fixed maximizers ``lam`` but shifted states."""
-        ww = v - model.drift_at(yy)
-        cc = model.noise_covariance(yy)
-        out = np.einsum("md,md->m", lam, ww) - 0.5 * np.einsum(
-            "md,mde,me->m", lam, cc, lam
-        )
-        if j:
-            z = np.einsum("mjd,md->mj", model.jump_values(yy), lam)
-            with np.errstate(over="ignore"):
-                out = out - (nu * (np.expm1(z) - z)).sum(axis=1)
-        return out
+    y, v = _chords(points, dt)
+    val, lam, _, _ = _dual_batch(*_dual_inputs(model, y, v))
 
     dldy = np.empty((n_seg, d))
     for i in range(d):
         e = np.zeros(d)
-        e[i] = h
-        dldy[:, i] = (dual_at(y + e) - dual_at(y - e)) / (2.0 * h)
+        e[i] = _FD_STEP
+        up = _dual_value(lam, *_dual_inputs(model, y + e, v))
+        down = _dual_value(lam, *_dual_inputs(model, y - e, v))
+        dldy[:, i] = (up - down) / (2.0 * _FD_STEP)
 
     grad = np.zeros_like(points)
     grad[1:-1] = 0.5 * dt * (dldy[:-1] + dldy[1:]) + (lam[:-1] - lam[1:])
@@ -280,10 +284,6 @@ def minimize_action(
     init: Path | None = None,
     *,
     max_iterations: int = 2000,
-    grad_tol: float = 1e-6,
-    fd_step: float = 1e-6,
-    stagnation_tol: float = 1e-8,
-    stagnation_window: int = 100,
 ) -> tuple[Path, ActionValue]:
     """Minimize the discrete action over paths from ``x0`` to ``x1``.
 
@@ -294,11 +294,12 @@ def minimize_action(
     value never exceeds the straight-line action.
 
     Convergence means any of: the max-norm gradient fell below
-    ``grad_tol``; the optimizer's own relative-reduction test fired; or the
-    mean per-iteration improvement over the last ``stagnation_window``
-    iterations dropped below ``stagnation_tol`` relative to the value.  The
-    last case matters on long horizons, where near-translation-invariance
-    of the transition layer makes the valley floor extremely flat.
+    ``_MINIMIZE_GRAD_TOL``; the optimizer's own relative-reduction test
+    fired; or the mean per-iteration improvement over the last
+    ``_STAGNATION_WINDOW`` iterations dropped below ``_STAGNATION_TOL``
+    relative to the value.  The last case matters on long horizons, where
+    near-translation-invariance of the transition layer makes the valley
+    floor extremely flat.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
@@ -335,7 +336,7 @@ def minimize_action(
     history: list[float] = []
 
     def fun(z: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = _value_and_gradient(model, assemble(z), dt, fd_step)
+        value, grad = _value_and_gradient(model, assemble(z), dt)
         latest["value"] = value
         return value, grad[1:-1].ravel()
 
@@ -355,7 +356,7 @@ def minimize_action(
         options={
             "maxiter": max_iterations,
             "maxfun": 10 * max_iterations,
-            "gtol": grad_tol,
+            "gtol": _MINIMIZE_GRAD_TOL,
             "ftol": 1e-14,
             "maxcor": 30,
         },
@@ -364,20 +365,18 @@ def minimize_action(
         best = assemble(result.x)
     else:
         best = candidates[pick]
-    stagnated = len(history) > stagnation_window and (
-        history[-stagnation_window - 1] - history[-1]
-        <= stagnation_window * stagnation_tol * max(1.0, abs(history[-1]))
+    stagnated = len(history) > _STAGNATION_WINDOW and (
+        history[-_STAGNATION_WINDOW - 1] - history[-1]
+        <= _STAGNATION_WINDOW * _STAGNATION_TOL * max(1.0, abs(history[-1]))
     )
     converged = (
         bool(result.success)
-        or float(np.abs(result.jac).max()) <= grad_tol
+        or float(np.abs(result.jac).max()) <= _MINIMIZE_GRAD_TOL
         or stagnated
     )
 
-    terms, dual_iters, conv = _segment_values_full(model, best, dt)
-    failed = tuple(int(k) for k in np.where(~conv)[0])
-    info = ActionValue(float(terms.sum()), dual_iters, converged and not failed, failed)
-    return Path(horizon, best), info
+    info = _action(model, *_chords(best, dt), dt)
+    return Path(horizon, best), replace(info, converged=converged and info.converged)
 
 
 def quasipotential(
@@ -388,8 +387,7 @@ def quasipotential(
     num_segments: int = 400,
     *,
     equilibrium_tol: float = 1e-6,
-    cost_cap: float = COST_CAP,
-    **minimize_options,
+    max_iterations: int = 2000,
 ) -> ActionValue:
     """Escape cost from an attractor to a target state.
 
@@ -398,25 +396,18 @@ def quasipotential(
     initial hold at the attractor, which costs nothing because the attractor
     is an equilibrium.  The reported value is the smallest over the sweep;
     extending the sweep can therefore never increase it.  Values reaching
-    ``cost_cap`` are reported as infinite.
+    ``COST_CAP`` are reported as infinite.  ``max_iterations`` bounds the
+    L-BFGS iterations of each :func:`minimize_action`.
 
     The starting point must actually be an equilibrium of the drift; this is
     checked against ``equilibrium_tol``.
     """
-    a = np.asarray(attractor, dtype=float)
-    x = np.asarray(target, dtype=float)
-    if a.shape != (model.dim,) or x.shape != (model.dim,):
-        raise ValueError(f"attractor and target must be vectors of dimension {model.dim}")
+    a, x = _escape_endpoints(model, attractor, target, equilibrium_tol)
     sweep = sorted(float(t) for t in sweep)
     if not sweep:
         raise ValueError("horizon sweep must be nonempty")
     if sweep[0] <= 0:
         raise ValueError("horizons must be positive")
-    speed = float(np.linalg.norm(model.drift_at(a[None, :])[0]))
-    if speed > equilibrium_tol:
-        raise ValueError(
-            f"|b(attractor)| = {speed:.3g} exceeds equilibrium tolerance {equilibrium_tol:.3g}"
-        )
 
     best: ActionValue | None = None
     prev: Path | None = None
@@ -425,15 +416,31 @@ def quasipotential(
         if prev is not None:
             init = _hold_then_follow(prev, a, horizon, num_segments)
         path, info = minimize_action(
-            model, a, x, horizon, num_segments, init=init, **minimize_options
+            model, a, x, horizon, num_segments, init=init, max_iterations=max_iterations
         )
         if best is None or info.value < best.value:
             best = info
         prev = path
     assert best is not None
-    if best.value >= cost_cap:
-        return ActionValue(math.inf, best.dual_iterations, best.converged, best.failed_segments)
+    if best.value >= COST_CAP:
+        return replace(best, value=math.inf)
     return best
+
+
+def _escape_endpoints(
+    model: LocalModel, attractor: Sequence[float], target: Sequence[float], equilibrium_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attractor and target as state vectors; the attractor must be an equilibrium."""
+    a = np.asarray(attractor, dtype=float)
+    x = np.asarray(target, dtype=float)
+    if a.shape != (model.dim,) or x.shape != (model.dim,):
+        raise ValueError(f"attractor and target must be vectors of dimension {model.dim}")
+    speed = float(np.linalg.norm(model.drift_at(a[None, :])[0]))
+    if speed > equilibrium_tol:
+        raise ValueError(
+            f"|b(attractor)| = {speed:.3g} exceeds equilibrium tolerance {equilibrium_tol:.3g}"
+        )
+    return a, x
 
 
 def _hold_then_follow(path: Path, a: np.ndarray, horizon: float, num_segments: int) -> Path:
@@ -485,15 +492,7 @@ def quasipotential_1d(
     """
     if model.dim != 1:
         raise ValueError(f"quadrature escape costs need dimension 1, got {model.dim}")
-    a = np.asarray(attractor, dtype=float)
-    x = np.asarray(target, dtype=float)
-    if a.shape != (1,) or x.shape != (1,):
-        raise ValueError("attractor and target must be vectors of dimension 1")
-    speed = abs(float(model.drift_at(a[None, :])[0, 0]))
-    if speed > equilibrium_tol:
-        raise ValueError(
-            f"|b(attractor)| = {speed:.3g} exceeds equilibrium tolerance {equilibrium_tol:.3g}"
-        )
+    a, x = _escape_endpoints(model, attractor, target, equilibrium_tol)
 
     start, end = float(a[0]), float(x[0])
     sign = 1.0 if end >= start else -1.0
@@ -514,10 +513,7 @@ def quasipotential_1d(
             """``H(y, p) / p``."""
             if p == 0.0:
                 return b
-            z = p * f
-            with np.errstate(over="ignore"):
-                jumps = float(np.sum(nu * (np.expm1(z) - z)))
-            return b + 0.5 * c * p + jumps / p
+            return b + 0.5 * c * p + float(_jump_cumulant(nu, p * f)) / p
 
         reach = 1.0
         while sign * slope(sign * reach) <= 0.0:

@@ -20,6 +20,9 @@ CLASSIFICATION_MARGIN = 1e-6
 #: Hard cap on the number of Newton seeds a search box may generate.
 MAX_SEEDS = 200_000
 
+#: Roots this far outside a search box still count as inside it.
+_BOX_SLACK = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class SearchBox:
@@ -61,9 +64,9 @@ class SearchBox:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def contains(self, point: np.ndarray, slack: float = 1e-9) -> bool:
+    def contains(self, point: np.ndarray) -> bool:
         return bool(
-            (point >= self.lower - slack).all() and (point <= self.upper + slack).all()
+            (point >= self.lower - _BOX_SLACK).all() and (point <= self.upper + _BOX_SLACK).all()
         )
 
 
@@ -160,7 +163,6 @@ def find_equilibria(
     root_tol: float = 1e-9,
     *,
     margin: float = CLASSIFICATION_MARGIN,
-    jacobian_step: float = 1e-5,
 ) -> list[Equilibrium]:
     """All drift zeros inside the box found from grid-seeded Newton runs.
 
@@ -183,7 +185,7 @@ def find_equilibria(
     roots.sort(key=lambda r: tuple(r))
     out = []
     for x in roots:
-        jac = jacobian_fd(field, x, jacobian_step)
+        jac = jacobian_fd(field, x)
         eig = np.linalg.eigvals(jac)
         out.append(Equilibrium(x, jac, np.sort_complex(eig), _classify(eig, margin)))
     return out
