@@ -59,8 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--spec", required=True, help="path to the JSON problem spec")
         p.add_argument("--out", required=True, help="output directory (created if absent)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for independent solves")
-        p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
+        p.add_argument(
+            "--threads", type=int, default=1, help="no effect; dropped at the next perfbench change"
+        )
+        if name == "validate":
+            p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
         if name == "linear":
             p.add_argument(
                 "--attractor",
@@ -90,16 +93,15 @@ def _write_report(out_dir: str, payload: dict) -> None:
 def _run(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     os.makedirs(args.out, exist_ok=True)
-    threads = max(1, args.threads)
     if args.command == "attractors":
         _write_report(args.out, run_attractors(spec))
     elif args.command == "rates":
-        report = run_rates(spec, threads=threads)
+        report = run_rates(spec)
         _write_report(args.out, report.to_dict())
         header, rows = rates_csv_rows(report)
         write_csv(os.path.join(args.out, "rates.csv"), header, rows)
     elif args.command == "validate":
-        report, results = run_validate(spec, threads=threads, seed=args.seed)
+        report, results = run_validate(spec, seed=args.seed)
         _write_report(args.out, validation_dict(report, results))
         header, rows = rates_csv_rows(report)
         write_csv(os.path.join(args.out, "rates.csv"), header, rows)

@@ -15,9 +15,8 @@ reports:
 
 All outputs are deterministic: no timestamps, keys sorted, floats printed
 with 17 significant digits, and ``Infinity``/``NaN`` written as the literal
-tokens Python's ``json`` module reads back.  Threaded execution only
-distributes independent tasks whose results are merged in a fixed order, so
-the byte content of every artifact is independent of the thread count.
+tokens Python's ``json`` module reads back.  Escape-cost solves run one
+after another, in a fixed task order, in the calling thread.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -112,8 +110,21 @@ def _as_int(v, ctx: str) -> int:
     return v
 
 
+def _as_list(v, ctx: str, *, nonempty: bool = False) -> list:
+    if not isinstance(v, list) or (nonempty and not v):
+        raise SpecError(f"{ctx} must be a {'nonempty ' if nonempty else ''}list, got {v!r}")
+    return v
+
+
+def _as_array(v, ctx: str) -> np.ndarray:
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise SpecError(f"{ctx} must hold numbers only, got {v!r}") from None
+
+
 def _as_vector(v, dim: int, ctx: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
+    arr = _as_array(v, ctx)
     if arr.shape != (dim,):
         raise SpecError(f"{ctx} must be a vector of length {dim}")
     if not np.isfinite(arr).all():
@@ -122,7 +133,7 @@ def _as_vector(v, dim: int, ctx: str) -> np.ndarray:
 
 
 def _as_matrix(v, rows: int, cols: int | None, ctx: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
+    arr = _as_array(v, ctx)
     if arr.ndim != 2 or arr.shape[0] != rows or (cols is not None and arr.shape[1] != cols):
         want = f"{rows}x{cols}" if cols is not None else f"{rows}xM"
         raise SpecError(f"{ctx} must be a {want} matrix, got shape {arr.shape}")
@@ -256,7 +267,7 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         _check_fields(drift, "drift", required=["kind", "coefficients"])
         if dim != 1:
             raise SpecError(f"drift kind {kind!r} requires dimension 1, got {dim}")
-        coeffs = np.asarray(drift["coefficients"], dtype=float)
+        coeffs = _as_array(drift["coefficients"], "drift.coefficients")
         if coeffs.ndim != 1 or coeffs.size < 2 or not np.isfinite(coeffs).all():
             raise SpecError("drift.coefficients must be a finite vector with at least 2 entries")
         params = {"coefficients": coeffs}
@@ -266,7 +277,7 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
     diffusion = _as_matrix(top["diffusion"], dim, None, "diffusion")
 
     jumps = []
-    for i, item in enumerate(top.get("jumps", [])):
+    for i, item in enumerate(_as_list(top.get("jumps", []), "jumps")):
         j = _require_mapping(item, f"jumps[{i}]")
         _check_fields(j, f"jumps[{i}]", required=["rate", "vector"], optional=["matrix"])
         rate = _as_positive(j["rate"], f"jumps[{i}].rate")
@@ -309,10 +320,8 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
     _check_fields(sol_raw, "solver", required=[], optional=["t_sweep", "path_points", "max_iterations"])
     sol_kwargs = {}
     if "t_sweep" in sol_raw:
-        sweep = tuple(_as_positive(t, "solver.t_sweep entry") for t in sol_raw["t_sweep"])
-        if not sweep:
-            raise SpecError("solver.t_sweep must be nonempty")
-        sol_kwargs["t_sweep"] = sweep
+        sweep = _as_list(sol_raw["t_sweep"], "solver.t_sweep", nonempty=True)
+        sol_kwargs["t_sweep"] = tuple(_as_positive(t, "solver.t_sweep entry") for t in sweep)
     if "path_points" in sol_raw:
         npts = _as_int(sol_raw["path_points"], "solver.path_points")
         if npts < 8:
@@ -325,13 +334,11 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         sol_kwargs["max_iterations"] = mi
     solver = SolverSettings(**sol_kwargs)
 
-    eval_raw = top.get("evaluation_points", [])
-    if eval_raw:
-        evaluation = np.stack(
-            [_as_vector(p, dim, f"evaluation_points[{i}]") for i, p in enumerate(eval_raw)]
-        )
-    else:
-        evaluation = np.zeros((0, dim))
+    eval_raw = _as_list(top.get("evaluation_points", []), "evaluation_points")
+    evaluation = np.reshape(
+        [_as_vector(p, dim, f"evaluation_points[{i}]") for i, p in enumerate(eval_raw)],
+        (-1, dim),
+    )
 
     simulation = None
     if "simulation" in top:
@@ -342,8 +349,9 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
             required=["n_values", "dt", "burn_in", "horizon", "seed", "bins"],
             optional=["replicas", "stride", "initial"],
         )
-        n_values = tuple(_as_int(n, "simulation.n_values entry") for n in s["n_values"])
-        if not n_values or any(n < 1 for n in n_values):
+        n_raw = _as_list(s["n_values"], "simulation.n_values", nonempty=True)
+        n_values = tuple(_as_int(n, "simulation.n_values entry") for n in n_raw)
+        if any(n < 1 for n in n_values):
             raise SpecError("simulation.n_values must be positive integers")
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise SpecError("simulation.n_values must be strictly increasing")
@@ -358,9 +366,7 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
             raise SpecError("simulation.bins.count must be at least 2")
         initial = None
         if "initial" in s:
-            states = s["initial"]
-            if not isinstance(states, list) or not states:
-                raise SpecError("simulation.initial must be a nonempty list of states")
+            states = _as_list(s["initial"], "simulation.initial", nonempty=True)
             initial = np.stack(
                 [_as_vector(p, dim, f"simulation.initial[{i}]") for i, p in enumerate(states)]
             )
@@ -392,11 +398,9 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
             "linear",
             required=["attractor_index", "displacements", "horizon", "samples"],
         )
+        rows = _as_list(ls["displacements"], "linear.displacements", nonempty=True)
         displacements = np.stack(
-            [
-                _as_vector(r, dim, f"linear.displacements[{i}]")
-                for i, r in enumerate(ls["displacements"])
-            ]
+            [_as_vector(r, dim, f"linear.displacements[{i}]") for i, r in enumerate(rows)]
         )
         samples = _as_int(ls["samples"], "linear.samples")
         if samples < 2:
@@ -557,14 +561,6 @@ def run_attractors(spec: ProblemSpec) -> dict:
     }
 
 
-def _map_ordered(tasks: list, worker: Callable, threads: int) -> list:
-    """Run tasks preserving order; results identical for any thread count."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks))
-
-
 @dataclass(frozen=True, eq=False)
 class RateReport:
     """Everything `rates` computes, ready for serialization."""
@@ -663,7 +659,6 @@ def _escape_costs(
     sources: Sequence[np.ndarray],
     targets: np.ndarray,
     tasks: list[tuple[int, int]],
-    threads: int,
 ) -> tuple[np.ndarray, int]:
     """Quasipotentials from ``sources[i]`` to ``targets[k]`` for every task ``(i, k)``.
 
@@ -674,9 +669,8 @@ def _escape_costs(
     solves; raises :class:`SolverError` when that number exceeds the spec's
     failure quota as a fraction of all tasks.
     """
-    def solve(task: tuple[int, int]) -> ActionValue:
-        i, k = task
-        return quasipotential(
+    results = [
+        quasipotential(
             model,
             sources[i],
             targets[k],
@@ -686,8 +680,8 @@ def _escape_costs(
             equilibrium_tol=spec.tolerances.equilibrium,
             max_iterations=spec.solver.max_iterations,
         )
-
-    results = _map_ordered(tasks, solve, threads)
+        for i, k in tasks
+    ]
     unconverged = sum(not res.converged for res in results)
     if tasks and unconverged / len(tasks) > spec.tolerances.failure_quota:
         raise SolverError(
@@ -701,7 +695,7 @@ def _escape_costs(
 
 
 def _solve_rates(
-    spec: ProblemSpec, threads: int, extra_points: np.ndarray
+    spec: ProblemSpec, extra_points: np.ndarray
 ) -> tuple[RateReport, LocalModel, np.ndarray]:
     """The `rates` report, its model, and the rate function at ``extra_points``.
 
@@ -724,7 +718,7 @@ def _solve_rates(
     tasks = [(i, j) for i in range(n_att) for j in range(n_att) if i != j]
     tasks += [(i, k) for i in range(n_att) for k in range(n_att, n_att + n_eval)]
     tasks += [(i, k) for i in range(n_att) for k in range(n_att + n_eval, targets.shape[0])]
-    costs, unconverged = _escape_costs(spec, model, equilibria, positions, targets, tasks, threads)
+    costs, unconverged = _escape_costs(spec, model, equilibria, positions, targets, tasks)
 
     costs_raw = CostMatrix(labels, costs[:n_att].T)
     costs_closed = shortest_path_closure(costs_raw)
@@ -762,7 +756,7 @@ def _solve_rates(
     return report, model, point_rates[n_eval:]
 
 
-def run_rates(spec: ProblemSpec, threads: int = 1) -> RateReport:
+def run_rates(spec: ProblemSpec) -> RateReport:
     """Stationary rates and the rate function at the evaluation points.
 
     Raises :class:`SpecError` when more than ``MAX_BALANCE_SIZE`` stable
@@ -771,11 +765,11 @@ def run_rates(spec: ProblemSpec, threads: int = 1) -> RateReport:
     :class:`BalanceError` when the computed rates do not satisfy flux
     balance at the spec tolerance.
     """
-    return _solve_rates(spec, threads, np.zeros((0, spec.dimension)))[0]
+    return _solve_rates(spec, np.zeros((0, spec.dimension)))[0]
 
 
 def rates_csv_rows(report: RateReport) -> tuple[list[str], list[list[object]]]:
-    d = report.evaluation_points.shape[1] if report.evaluation_points.size else 0
+    d = report.evaluation_points.shape[1]
     header = [f"x{i}" for i in range(d)] + ["rate"]
     rows = []
     for k in range(report.evaluation_points.shape[0]):
@@ -794,7 +788,7 @@ def _bin_edges(sim: SimulationSpec) -> list[np.ndarray]:
 
 
 def run_validate(
-    spec: ProblemSpec, threads: int = 1, seed: int | None = None
+    spec: ProblemSpec, seed: int | None = None
 ) -> tuple[RateReport, list[ValidationRunResult]]:
     """Predictions from :func:`run_rates` against a simulation ladder.
 
@@ -808,7 +802,7 @@ def run_validate(
         raise SpecError("validate requires a 'simulation' section in the problem spec")
     sim = spec.simulation
     edges = _bin_edges(sim)
-    report, model, predicted = _solve_rates(spec, threads, bin_centers(edges))
+    report, model, predicted = _solve_rates(spec, bin_centers(edges))
 
     if sim.initial is not None:
         initial = sim.initial
@@ -873,8 +867,6 @@ def validation_dict(report: RateReport, results: list[ValidationRunResult]) -> d
 
 
 def empirical_csv_rows(results: list[ValidationRunResult]) -> tuple[list[str], list[list[object]]]:
-    if not results:
-        return ["n", "count", "rate"], []
     d = results[0].empirical.centers.shape[1]
     header = ["n"] + [f"c{i}" for i in range(d)] + ["count", "rate"]
     rows: list[list[object]] = []

@@ -1,6 +1,7 @@
 """End-to-end command line runs against temporary spec files."""
 
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,8 @@ def test_validate_seed_override_changes_empirical_only(tmp_path):
     assert (out_c / "empirical.csv").read_text() == base
     # predictions do not depend on the seed
     assert (out_b / "rates.csv").read_text() == (out_a / "rates.csv").read_text()
+    # no evaluation points still gives the coordinate columns
+    assert (out_a / "rates.csv").read_text() == "x0,rate\n"
 
 
 def test_linear_command_and_attractor_override(tmp_path):
@@ -166,6 +169,65 @@ def test_linear_command_and_attractor_override(tmp_path):
     assert report["gramian"][0][0] == pytest.approx(0.75)
     # out-of-range override is a spec problem
     assert cli.main(["linear", "--spec", spec, "--out", str(out), "--attractor", "7"]) == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"evaluation_points": 5},
+        {"jumps": 3},
+        {"solver": {"t_sweep": 5}},
+        {"diffusion": [["a"]]},
+        {"drift": {"kind": "polynomial", "coefficients": ["x", 1]}},
+        {
+            "simulation": {
+                "n_values": 20,
+                "dt": 0.01,
+                "burn_in": 1.0,
+                "horizon": 10.0,
+                "seed": 1,
+                "bins": {"lower": [-1.0], "upper": [1.0], "count": 5},
+            }
+        },
+        {"linear": {"attractor_index": 0, "displacements": [], "horizon": 5.0, "samples": 10}},
+    ],
+    ids=["eval-points", "jumps", "t-sweep", "diffusion", "coefficients", "n-values", "displacements"],
+)
+def test_malformed_spec_is_exit_2(tmp_path, capsys, edit):
+    spec = write_spec(tmp_path, fast_ou_spec(**edit))
+    assert cli.main(["rates", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("spec error: ")
+
+
+def test_seed_is_a_validate_option_only(tmp_path):
+    spec = write_spec(tmp_path, fast_ou_spec())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rates", "--spec", spec, "--out", str(tmp_path / "o"), "--seed", "3"])
+    assert exc.value.code == 2
+
+
+def test_solves_run_on_the_calling_thread_in_task_order(tmp_path, monkeypatch):
+    import quasipot.pipeline as pipeline
+
+    solve = pipeline.quasipotential
+    calls = []
+
+    def recording(model, attractor, target, **kwargs):
+        calls.append((threading.get_ident(), attractor.tolist(), target.tolist()))
+        return solve(model, attractor, target, **kwargs)
+
+    monkeypatch.setattr(pipeline, "quasipotential", recording)
+    payload = json.loads((SPECS / "double_well.json").read_text())
+    spec = write_spec(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main(["rates", "--spec", spec, "--out", str(out), "--threads", "4"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    a = [att["position"] for att in report["attractors"]]
+    points = payload["evaluation_points"]
+    expected = [(a[i], a[j]) for i in range(len(a)) for j in range(len(a)) if i != j]
+    expected += [(a[i], x) for i in range(len(a)) for x in points]
+    assert [(src, dst) for _, src, dst in calls] == expected
+    assert {ident for ident, _, _ in calls} == {threading.get_ident()}
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -94,6 +94,21 @@ def test_missing_required_fields_rejected():
         (lambda d: d.update(solver={"t_sweep": []}), "t_sweep"),
         (lambda d: d.update(solver={"path_points": 4}), "path_points"),
         (lambda d: d.update(evaluation_points=[[1.0, 2.0]]), "evaluation_points"),
+        (lambda d: d.update(evaluation_points=5), "evaluation_points must be a list"),
+        (lambda d: d.update(jumps=3), "jumps must be a list"),
+        (lambda d: d.update(solver={"t_sweep": 5}), "t_sweep must be a nonempty list"),
+        (lambda d: d.update(simulation={**SMALL_LADDER, "n_values": 20}), "n_values"),
+        (
+            lambda d: d.update(
+                linear={"attractor_index": 0, "displacements": [], "horizon": 5.0, "samples": 10}
+            ),
+            "displacements",
+        ),
+        (lambda d: d.update(diffusion=[["a"]]), "diffusion must hold numbers"),
+        (
+            lambda d: d.update(drift={"kind": "polynomial", "coefficients": ["x", 1]}),
+            "drift.coefficients",
+        ),
     ],
 )
 def test_invalid_values_rejected(mutate, needle):
@@ -195,13 +210,6 @@ def test_run_rates_ou_quadratic():
     d = report.to_dict()
     assert d["cost_matrix"]["labels"] == ["a0"]
     assert d["solver_runs"]["unconverged"] == 0
-
-
-def test_run_rates_threads_do_not_change_bytes():
-    spec = parse_problem_spec(ou_spec_dict())
-    one = dump_json(run_rates(spec, threads=1).to_dict())
-    four = dump_json(run_rates(spec, threads=4).to_dict())
-    assert one == four
 
 
 def test_balance_error_raised_when_residual_above_tolerance(monkeypatch):
