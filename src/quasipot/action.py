@@ -288,7 +288,7 @@ def minimize_action(
     """Minimize the discrete action over paths from ``x0`` to ``x1``.
 
     Starts from the better of the straight line and the optional warm start
-    (resampled onto the requested grid with endpoints forced), then runs
+    (on the same horizon and grid, with endpoints forced), then runs
     L-BFGS-B over the interior nodes with the envelope gradient of
     :func:`_value_and_gradient`.  The output is the best path seen, so the
     value never exceeds the straight-line action.
@@ -316,9 +316,11 @@ def minimize_action(
     candidates = [straight]
     if init is not None:
         if init.num_segments != num_segments or init.horizon != horizon:
-            warm = Path(horizon, init.points).resampled(num_segments).points.copy()
-        else:
-            warm = init.points.copy()
+            raise ValueError(
+                f"warm start has horizon {init.horizon} and {init.num_segments} segments, "
+                f"expected {horizon} and {num_segments}"
+            )
+        warm = init.points.copy()
         warm[0] = x0
         warm[-1] = x1
         candidates.append(warm)
@@ -444,10 +446,14 @@ def _escape_endpoints(
 
 
 def _hold_then_follow(path: Path, a: np.ndarray, horizon: float, num_segments: int) -> Path:
-    """Warm start on a longer horizon: wait at ``a``, then run the old path."""
+    """Warm start on a longer horizon: wait at ``a``, then run the old path.
+
+    A repeated sweep entry has the same horizon and grid, so ``path`` is
+    reused as it is.
+    """
     extra = horizon - path.horizon
     if extra <= 0:
-        return path.resampled(num_segments)
+        return path
     t = np.concatenate([[0.0], path.times + extra])
     pts = np.vstack([a[None, :], path.points])
     t_new = np.linspace(0.0, horizon, num_segments + 1)

@@ -1,11 +1,9 @@
 """Containers for small-noise jump-diffusion models and discrete paths.
 
-A model is a drift field ``b``, a diffusion matrix ``sigma`` (constant or
-state dependent) and a finite family of jump channels, each with a constant
-arrival rate and a state-dependent jump vector.  All callables must accept
-batched input: an array of shape ``(..., d)`` maps to ``(..., d)`` for
-vector fields and to ``(..., d, m)`` for the diffusion factor.  Constant
-matrices and vectors are accepted and wrapped.
+A model is a drift field ``b``, a constant ``(d, m)`` diffusion matrix
+``sigma`` and a finite family of jump channels, each with a constant
+arrival rate and a state-dependent jump vector.  Drift and jump maps must
+accept batched input: an array of shape ``(..., d)`` maps to ``(..., d)``.
 
 The local covariance ``c(y) = sigma sigma^T + sum_j nu_j f_j f_j^T`` governs
 nondegeneracy: every routine that inverts it checks positive definiteness
@@ -61,60 +59,36 @@ class JumpAtom:
             raise ValueError(f"jump rate must be positive and finite, got {self.rate}")
 
 
-def _wrap_diffusion(diffusion, dim: int) -> tuple[Field, int]:
-    """Normalize a diffusion spec to a batched callable and its width m."""
-    if callable(diffusion):
-        probe = np.asarray(diffusion(np.zeros(dim)), dtype=float)
-        if probe.ndim != 2 or probe.shape[0] != dim:
-            raise ValueError(
-                f"diffusion callable must return a ({dim}, m) matrix, got {probe.shape}"
-            )
-        m = probe.shape[1]
-
-        def sig(y: np.ndarray) -> np.ndarray:
-            out = np.asarray(diffusion(y), dtype=float)
-            want = np.shape(y)[:-1] + (dim, m)
-            if out.shape != want:
-                raise ValueError(f"diffusion returned shape {out.shape}, expected {want}")
-            return out
-
-        return sig, m
-    mat = np.asarray(diffusion, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != dim:
-        raise ValueError(f"diffusion must be a ({dim}, m) matrix, got shape {mat.shape}")
-    m = mat.shape[1]
-
-    def sig_const(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return np.broadcast_to(mat, y.shape[:-1] + (dim, m)).copy()
-
-    return sig_const, m
-
-
 @dataclass(frozen=True, eq=False)
 class LocalModel:
     """Jump diffusion ``dX = b dt + n^{-1/2} sigma dW + jump noise``.
 
-    ``drift`` maps ``(..., d) -> (..., d)``.  ``diffusion`` is either a
-    constant ``(d, m)`` array or a callable with the same batching
-    convention.  Jump channels fire at rate ``n * nu_j`` with increments
-    ``f_j(X) / n``, so drift, diffusion and jumps all contribute at the same
-    exponential order as the scale parameter ``n`` grows.
+    ``drift`` maps ``(..., d) -> (..., d)``.  ``diffusion`` is a constant
+    ``(d, m)`` matrix; it is stored read-only together with ``sigma sigma^T``.
+    Jump channels fire at rate ``n * nu_j`` with increments ``f_j(X) / n``,
+    so drift, diffusion and jumps all contribute at the same exponential
+    order as the scale parameter ``n`` grows.
     """
 
     dim: int
     drift: Field
-    diffusion: object
+    diffusion: np.ndarray
     jumps: tuple[JumpAtom, ...] = ()
-    _sigma: Field = field(init=False, repr=False, compare=False)
-    noise_width: int = field(init=False, repr=False, compare=False)
+    _noise_cov: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        sig, m = _wrap_diffusion(self.diffusion, self.dim)
-        object.__setattr__(self, "_sigma", sig)
-        object.__setattr__(self, "noise_width", m)
+        if callable(self.diffusion):
+            raise ValueError("diffusion must be a constant (d, m) matrix, not a callable")
+        sig = np.array(self.diffusion, dtype=float)
+        if sig.ndim != 2 or sig.shape[0] != self.dim:
+            raise ValueError(f"diffusion must be a ({self.dim}, m) matrix, got shape {sig.shape}")
+        cov = sig @ sig.T
+        sig.flags.writeable = False
+        cov.flags.writeable = False
+        object.__setattr__(self, "diffusion", sig)
+        object.__setattr__(self, "_noise_cov", cov)
         object.__setattr__(self, "jumps", tuple(self.jumps))
 
     # -- evaluation helpers ------------------------------------------------
@@ -127,7 +101,8 @@ class LocalModel:
         return out
 
     def diffusion_at(self, y: np.ndarray) -> np.ndarray:
-        return self._sigma(np.asarray(y, dtype=float))
+        """``sigma`` at ``y``: a read-only view of shape ``(..., d, m)``."""
+        return np.broadcast_to(self.diffusion, np.shape(y)[:-1] + self.diffusion.shape)
 
     def jump_values(self, y: np.ndarray) -> np.ndarray:
         """Stacked jump sizes, shape ``(..., n_jumps, d)``."""
@@ -145,9 +120,8 @@ class LocalModel:
         return np.array([atom.rate for atom in self.jumps])
 
     def noise_covariance(self, y: np.ndarray) -> np.ndarray:
-        """``sigma sigma^T`` at ``y``, shape ``(..., d, d)``."""
-        sig = self.diffusion_at(y)
-        return sig @ np.swapaxes(sig, -1, -2)
+        """``sigma sigma^T`` at ``y``: a read-only view of shape ``(..., d, d)``."""
+        return np.broadcast_to(self._noise_cov, np.shape(y)[:-1] + self._noise_cov.shape)
 
     def jump_covariance(self, y: np.ndarray) -> np.ndarray:
         """``sum_j nu_j f_j f_j^T`` at ``y``, shape ``(..., d, d)``."""
@@ -174,39 +148,6 @@ class LocalModel:
                     "local covariance is degenerate at a requested state "
                     f"(index {k} of the batch); the action is not defined there"
                 ) from None
-
-    # -- growth and contraction diagnostics ---------------------------------
-
-    def jump_growth_constants(self, points: np.ndarray) -> np.ndarray:
-        """Per-channel max of ``|f_j(y)| / (1 + |y|)`` over sample points.
-
-        A bounded value as the sample set widens is evidence of the linear
-        growth the theory assumes; this is a diagnostic, not a proof.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if not self.jumps:
-            return np.zeros(0)
-        f = self.jump_values(pts)  # (M, J, d)
-        norms = np.linalg.norm(f, axis=-1)  # (M, J)
-        denom = 1.0 + np.linalg.norm(pts, axis=-1)  # (M,)
-        return (norms / denom[:, None]).max(axis=0)
-
-    def drift_contraction(self, points: np.ndarray) -> float:
-        """Min over sample points of ``-y . b(y) / |y|^2``.
-
-        Positive values over a wide sample suggest the confining drift
-        condition that keeps simulated paths from escaping to infinity.
-        Points at the origin are skipped.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        norms2 = np.einsum("ij,ij->i", pts, pts)
-        keep = norms2 > 0
-        if not keep.any():
-            raise ValueError("need at least one point away from the origin")
-        pts = pts[keep]
-        norms2 = norms2[keep]
-        b = self.drift_at(pts)
-        return float(np.min(-np.einsum("ij,ij->i", pts, b) / norms2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,14 +186,3 @@ class Path:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.points.shape[0])
-
-    def resampled(self, num_segments: int) -> "Path":
-        """Linear interpolation onto a uniform grid with ``num_segments``."""
-        if num_segments < 2:
-            raise ValueError("need at least two segments")
-        t_old = self.times
-        t_new = np.linspace(0.0, self.horizon, num_segments + 1)
-        pts = np.column_stack(
-            [np.interp(t_new, t_old, self.points[:, i]) for i in range(self.dim)]
-        )
-        return Path(self.horizon, pts)

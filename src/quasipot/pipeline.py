@@ -56,7 +56,15 @@ from .maxplus import (
     shortest_path_closure,
 )
 from .models import JumpAtom, LocalModel, affine_jump, constant_jump
-from .simulate import EmpiricalRate, SimConfig, bin_centers, empirical_rate, simulate, validation_report
+from .simulate import (
+    EmpiricalRate,
+    SimConfig,
+    SimulationBlowup,
+    bin_centers,
+    empirical_rate,
+    simulate,
+    validation_report,
+)
 from .trees import stationary_rates
 
 
@@ -389,6 +397,16 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         )
         if simulation.burn_in < 0 or simulation.burn_in >= simulation.horizon:
             raise SpecError("simulation needs 0 <= burn_in < horizon")
+        if simulation.seed < 0:
+            raise SpecError(f"simulation.seed must be non-negative, got {simulation.seed}")
+        # SimConfig's step counts: fewer steps than one stride record no sample
+        dt = simulation.dt
+        steps = round(simulation.horizon / dt) - round(simulation.burn_in / dt)
+        if steps < stride:
+            raise SpecError(
+                f"simulation.stride {stride} exceeds the {steps} steps after burn-in; "
+                "lengthen the horizon or shrink the stride"
+            )
 
     linear = None
     if "linear" in top:
@@ -801,6 +819,9 @@ def run_validate(
     if spec.simulation is None:
         raise SpecError("validate requires a 'simulation' section in the problem spec")
     sim = spec.simulation
+    use_seed = sim.seed if seed is None else seed
+    if use_seed < 0:
+        raise SpecError(f"seed must be non-negative, got {use_seed}")
     edges = _bin_edges(sim)
     report, model, predicted = _solve_rates(spec, bin_centers(edges))
 
@@ -812,7 +833,6 @@ def run_validate(
     if initial.shape[0] != reps:
         initial = initial[np.arange(reps) % initial.shape[0]]
 
-    use_seed = sim.seed if seed is None else seed
     results: list[ValidationRunResult] = []
     for n in sim.n_values:
         config = SimConfig(
@@ -827,7 +847,7 @@ def run_validate(
         )
         try:
             samples = simulate(model, config)
-        except Exception as exc:
+        except SimulationBlowup as exc:
             raise SolverError(f"simulation at n={n} failed: {exc}") from exc
         try:
             emp = empirical_rate(samples, edges, n)

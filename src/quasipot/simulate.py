@@ -2,7 +2,7 @@
 
 The scheme is Euler-Maruyama with compound-Poisson jump channels: per step
 of size ``dt`` the state gains ``b(X) dt``, a Gaussian kick
-``n^{-1/2} sigma(X) sqrt(dt) xi``, and for every jump channel ``j`` an
+``n^{-1/2} sigma sqrt(dt) xi``, and for every jump channel ``j`` an
 increment ``(K_j / n - nu_j dt) f_j(X)`` where ``K_j ~ Poisson(n nu_j dt)``;
 the subtracted compensator keeps the drift of the jump noise at zero so all
 three noise sources vanish together as ``n`` grows.
@@ -110,10 +110,11 @@ def simulate(model: LocalModel, config: SimConfig) -> np.ndarray:
     rngs = _replica_rngs(config.seed, reps)
     x = config.initial.copy()
     sqrt_dt_over_n = math.sqrt(dt / n)
+    sigma = model.diffusion
+    m = sigma.shape[1]
     nu = model.jump_rates
     j = len(nu)
     lam = n * nu * dt if j else None
-    m = model.noise_width
 
     total_steps = config.num_steps
     burn = config.burn_steps
@@ -121,15 +122,17 @@ def simulate(model: LocalModel, config: SimConfig) -> np.ndarray:
     step = 0
     while step < total_steps:
         block = min(_BLOCK, total_steps - step)
-        normals = np.stack([rng.standard_normal((block, m)) for rng in rngs])
+        # filled in place: stacking per-replica arrays held each block twice
+        kicks = np.empty((reps, block, model.dim))
+        for r, rng in enumerate(rngs):
+            np.einsum("dm,km->kd", sigma, rng.standard_normal((block, m)), out=kicks[r])
+        kicks *= sqrt_dt_over_n
         if j:
             counts = np.stack(
                 [rng.poisson(lam, (block, j)) for rng in rngs]
             ).astype(float)
         for k in range(block):
-            drift = model.drift_at(x)
-            sig = model.diffusion_at(x)
-            incr = drift * dt + sqrt_dt_over_n * np.einsum("rdm,rm->rd", sig, normals[:, k])
+            incr = model.drift_at(x) * dt + kicks[:, k]
             if j:
                 weights = counts[:, k] / n - nu * dt
                 incr = incr + np.einsum("rj,rjd->rd", weights, model.jump_values(x))

@@ -213,6 +213,10 @@ def test_minimize_action_rejects_bad_arguments():
         minimize_action(model, [0.0], [1.0], horizon=1.0, num_segments=2)
     with pytest.raises(ValueError):
         minimize_action(model, [0.0, 0.0], [1.0], horizon=1.0, num_segments=16)
+    warm = Path(1.0, np.linspace(0.0, 1.0, 17)[:, None])
+    for horizon, segments in ((2.0, 16), (1.0, 32)):
+        with pytest.raises(ValueError, match="warm start"):
+            minimize_action(model, [0.0], [1.0], horizon=horizon, num_segments=segments, init=warm)
 
 
 def test_minimize_action_warm_start_only_improves():

@@ -26,6 +26,19 @@ def write_spec(tmp_path, payload, name="problem.json"):
     return str(path)
 
 
+#: A short `validate` ladder for `fast_ou_spec`: 11,800 steps after burn-in.
+SMALL_SIMULATION = {
+    "n_values": [30],
+    "dt": 0.01,
+    "burn_in": 2.0,
+    "horizon": 120.0,
+    "seed": 5,
+    "replicas": 8,
+    "stride": 5,
+    "bins": {"lower": [-0.9], "upper": [0.9], "count": 9},
+}
+
+
 def fast_ou_spec(**extra):
     spec = {
         "dimension": 1,
@@ -97,16 +110,7 @@ def test_validate_without_simulation_is_exit_2(tmp_path):
 def test_validate_command_writes_empirical_csv(tmp_path):
     payload = fast_ou_spec(
         evaluation_points=[],
-        simulation={
-            "n_values": [30],
-            "dt": 0.01,
-            "burn_in": 2.0,
-            "horizon": 120.0,
-            "seed": 5,
-            "replicas": 8,
-            "stride": 5,
-            "bins": {"lower": [-0.9], "upper": [0.9], "count": 9},
-        },
+        simulation=SMALL_SIMULATION,
     )
     spec = write_spec(tmp_path, payload)
     out = tmp_path / "out"
@@ -121,16 +125,7 @@ def test_validate_command_writes_empirical_csv(tmp_path):
 def test_validate_seed_override_changes_empirical_only(tmp_path):
     payload = fast_ou_spec(
         evaluation_points=[],
-        simulation={
-            "n_values": [30],
-            "dt": 0.01,
-            "burn_in": 2.0,
-            "horizon": 120.0,
-            "seed": 5,
-            "replicas": 8,
-            "stride": 5,
-            "bins": {"lower": [-0.9], "upper": [0.9], "count": 9},
-        },
+        simulation=SMALL_SIMULATION,
     )
     spec = write_spec(tmp_path, payload)
     out_a, out_b, out_c = (tmp_path / x for x in ("a", "b", "c"))
@@ -190,12 +185,37 @@ def test_linear_command_and_attractor_override(tmp_path):
             }
         },
         {"linear": {"attractor_index": 0, "displacements": [], "horizon": 5.0, "samples": 10}},
+        {"simulation": {**SMALL_SIMULATION, "seed": -1}},
+        {"simulation": {**SMALL_SIMULATION, "stride": 11_801}},
     ],
-    ids=["eval-points", "jumps", "t-sweep", "diffusion", "coefficients", "n-values", "displacements"],
+    ids=[
+        "eval-points",
+        "jumps",
+        "t-sweep",
+        "diffusion",
+        "coefficients",
+        "n-values",
+        "displacements",
+        "negative-seed",
+        "stride-past-horizon",
+    ],
 )
 def test_malformed_spec_is_exit_2(tmp_path, capsys, edit):
     spec = write_spec(tmp_path, fast_ou_spec(**edit))
     assert cli.main(["rates", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("spec error: ")
+
+
+def test_negative_seed_override_is_exit_2_before_solving(tmp_path, capsys, monkeypatch):
+    import quasipot.pipeline as pipeline
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("escape cost solved before the seed was checked")
+
+    monkeypatch.setattr(pipeline, "quasipotential", no_solve)
+    spec = write_spec(tmp_path, fast_ou_spec(evaluation_points=[], simulation=SMALL_SIMULATION))
+    argv = ["validate", "--spec", spec, "--out", str(tmp_path / "o"), "--seed", "-1"]
+    assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("spec error: ")
 
 

@@ -40,17 +40,19 @@ def test_drift_shape_check():
         model.drift_at(np.zeros(2))
 
 
-def test_diffusion_constant_and_callable_agree():
+def test_diffusion_is_a_constant_matrix():
     sig = np.array([[1.0, 0.0], [0.5, 2.0]])
-    const = LocalModel(2, lambda y: -np.asarray(y, float), sig)
-    as_callable = LocalModel(
-        2,
-        lambda y: -np.asarray(y, float),
-        lambda y: np.broadcast_to(sig, np.shape(y)[:-1] + (2, 2)).copy(),
-    )
-    y = np.random.default_rng(0).normal(size=(5, 2))
-    np.testing.assert_array_equal(const.diffusion_at(y), as_callable.diffusion_at(y))
-    assert const.noise_width == 2
+    with pytest.raises(ValueError, match="constant"):
+        LocalModel(2, lambda y: -np.asarray(y, float), lambda y: sig)
+    model = LocalModel(2, lambda y: -np.asarray(y, float), sig)
+    y = np.random.default_rng(0).normal(size=(5, 3, 2))
+    sig_at = model.diffusion_at(y)
+    cov_at = model.noise_covariance(y)
+    assert sig_at.shape == (5, 3, 2, 2) and cov_at.shape == (5, 3, 2, 2)
+    assert not sig_at.flags.writeable and not cov_at.flags.writeable
+    np.testing.assert_array_equal(sig_at, np.broadcast_to(sig, (5, 3, 2, 2)))
+    np.testing.assert_array_equal(cov_at, np.broadcast_to(sig @ sig.T, (5, 3, 2, 2)))
+    assert np.shares_memory(sig_at, model.diffusion)
 
 
 def test_noise_covariance_formula():
@@ -93,7 +95,6 @@ def test_no_jumps_edge_case():
     model = make_toy_model()
     assert model.jump_values(np.zeros((3, 2))).shape == (3, 0, 2)
     np.testing.assert_array_equal(model.jump_covariance(np.zeros(2)), np.zeros((2, 2)))
-    assert model.jump_growth_constants(np.zeros((2, 2))).size == 0
 
 
 def test_assert_nondegenerate():
@@ -109,23 +110,6 @@ def test_degenerate_diffusion_fixed_by_jump():
     atom = JumpAtom(1.0, constant_jump([0.0, 1.0]))
     model = LocalModel(2, lambda y: -np.asarray(y, float), np.array([[1.0], [0.0]]), (atom,))
     model.assert_nondegenerate(np.zeros(2))
-
-
-def test_jump_growth_constants():
-    atom = JumpAtom(1.0, constant_jump([2.0]))
-    model = LocalModel(1, lambda y: -np.asarray(y, float), np.eye(1), (atom,))
-    pts = np.array([[0.0], [1.0], [9.0]])
-    # constant jump: max |f|/(1+|y|) attained at the origin
-    np.testing.assert_allclose(model.jump_growth_constants(pts), [2.0])
-
-
-def test_drift_contraction():
-    model = make_toy_model()
-    pts = np.random.default_rng(1).normal(size=(20, 2))
-    # b = -y gives -y.b/|y|^2 = 1 everywhere
-    assert model.drift_contraction(pts) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        model.drift_contraction(np.zeros((1, 2)))
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -166,15 +150,3 @@ def test_path_geometry():
     np.testing.assert_allclose(path.times, [0.0, 1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         path.points[0, 0] = 5.0
-
-
-def test_path_resample_preserves_endpoints_and_lines():
-    t = np.linspace(0.0, 2.0, 9)
-    pts = np.column_stack([2.0 * t - 1.0, t**0 * 3.0])
-    path = Path(2.0, pts)
-    fine = path.resampled(32)
-    assert fine.num_segments == 32
-    np.testing.assert_allclose(fine.points[0], path.points[0])
-    np.testing.assert_allclose(fine.points[-1], path.points[-1])
-    # linear data is reproduced exactly by linear interpolation
-    np.testing.assert_allclose(fine.points[:, 0], 2.0 * fine.times - 1.0, atol=1e-12)

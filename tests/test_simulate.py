@@ -9,8 +9,9 @@ used here.
 import numpy as np
 import pytest
 
-from quasipot.models import JumpAtom, LocalModel, constant_jump
+from quasipot.models import JumpAtom, LocalModel, affine_jump, constant_jump
 from quasipot.simulate import (
+    _BLOCK,
     MIN_SAMPLES,
     EmpiricalRate,
     SimConfig,
@@ -114,6 +115,56 @@ def test_blowup_is_reported():
     cfg = base_config(dt=0.5, initial=np.array([10.0]), horizon=400.0)
     with pytest.raises(SimulationBlowup, match="exceeded"):
         simulate(model, cfg)
+
+
+def reference_euler(model, cfg):
+    """Euler-Maruyama with ``sigma(X) xi`` evaluated at every step."""
+    seeds = [np.random.SeedSequence((cfg.seed, r)) for r in range(cfg.replicas)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    nu = model.jump_rates
+    m = model.diffusion.shape[1]
+    x = cfg.initial.copy()
+    samples = []
+    for start in range(0, cfg.num_steps, _BLOCK):
+        block = min(_BLOCK, cfg.num_steps - start)
+        normals = np.stack([rng.standard_normal((block, m)) for rng in rngs])
+        if len(nu):
+            counts = np.stack([rng.poisson(cfg.n * nu * cfg.dt, (block, len(nu))) for rng in rngs])
+        for k in range(block):
+            sig = model.diffusion_at(x)
+            incr = model.drift_at(x) * cfg.dt + np.sqrt(cfg.dt / cfg.n) * np.einsum(
+                "rdm,rm->rd", sig, normals[:, k]
+            )
+            if len(nu):
+                weights = counts[:, k].astype(float) / cfg.n - nu * cfg.dt
+                incr = incr + np.einsum("rj,rjd->rd", weights, model.jump_values(x))
+            x = x + incr
+            step = start + k + 1
+            if step > cfg.burn_steps and (step - cfg.burn_steps) % cfg.stride == 0:
+                samples.append(x.copy())
+    return np.stack(samples).transpose(1, 0, 2).reshape(-1, model.dim)
+
+
+def rotated_jump_model():
+    atoms = (
+        JumpAtom(0.7, constant_jump([0.3, -0.1])),
+        JumpAtom(1.3, affine_jump([0.05, 0.0], [[-0.2, 0.1], [0.0, -0.3]])),
+    )
+    matrix = np.array([[-1.0, 0.4], [-0.3, -1.5]])
+    sigma = np.array([[0.9, 0.3], [-0.2, 1.1]])
+    return LocalModel(2, lambda y: np.asarray(y, float) @ matrix.T, sigma, atoms)
+
+
+@pytest.mark.parametrize(
+    "model, initial",
+    [(ou_model(k=0.7, s=1.3), np.zeros(1)), (rotated_jump_model(), np.array([0.2, -0.1]))],
+    ids=["1d-no-jumps", "2d-m2-jumps"],
+)
+def test_simulate_matches_per_step_reference_bitwise(model, initial):
+    # crosses one draw-block boundary, so per-block scaling is exercised twice
+    horizon = (_BLOCK + 500) * 0.01
+    cfg = base_config(n=30, horizon=horizon, burn_in=1.0, stride=7, initial=initial, replicas=3)
+    np.testing.assert_array_equal(simulate(model, cfg), reference_euler(model, cfg))
 
 
 def test_per_replica_initial_states():
