@@ -37,7 +37,7 @@ from .trees import (
     min_in_tree_cost_bruteforce,
     stationary_rates,
 )
-from .models import JumpAtom, LocalModel, Path, affine_jump, constant_jump
+from .models import JumpAtom, LocalModel, Path
 from .action import (
     ActionValue,
     local_lagrangian,
@@ -73,9 +73,7 @@ __all__ = [
     "StationaryRates",
     "TreeCost",
     "ValidationReport",
-    "affine_jump",
     "balance_residuals",
-    "constant_jump",
     "cost_flux",
     "empirical_rate",
     "enumerate_in_trees",

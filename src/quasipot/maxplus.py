@@ -125,9 +125,6 @@ class StationaryRates:
         arr.flags.writeable = False
         object.__setattr__(self, "rates", arr)
 
-    def rate(self, label: str) -> float:
-        return float(self.rates[self.labels.index(label)])
-
 
 @dataclass(frozen=True)
 class Partition:

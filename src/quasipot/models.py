@@ -2,8 +2,8 @@
 
 A model is a drift field ``b``, a constant ``(d, m)`` diffusion matrix
 ``sigma`` and a finite family of jump channels, each with a constant
-arrival rate and a state-dependent jump vector.  Drift and jump maps must
-accept batched input: an array of shape ``(..., d)`` maps to ``(..., d)``.
+arrival rate and an affine jump vector ``f_j(y) = a_j + M_j y``.  The drift
+must accept batched input: an array of shape ``(..., d)`` maps to ``(..., d)``.
 
 The local covariance ``c(y) = sigma sigma^T + sum_j nu_j f_j f_j^T`` governs
 nondegeneracy: every routine that inverts it checks positive definiteness
@@ -13,50 +13,39 @@ first and raises a clear error instead of propagating a numerical one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 Field = Callable[[np.ndarray], np.ndarray]
 
 
-def constant_jump(vector: Sequence[float]) -> Field:
-    """Jump map returning the same vector at every state."""
-    vec = np.asarray(vector, dtype=float)
-    if vec.ndim != 1:
-        raise ValueError("jump vector must be one-dimensional")
-
-    def f(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return np.broadcast_to(vec, y.shape).copy()
-
-    return f
-
-
-def affine_jump(vector: Sequence[float], matrix: Sequence[Sequence[float]]) -> Field:
-    """Jump map ``y -> vector + matrix @ y``."""
-    vec = np.asarray(vector, dtype=float)
-    mat = np.asarray(matrix, dtype=float)
-    if vec.ndim != 1 or mat.shape != (vec.shape[0], vec.shape[0]):
-        raise ValueError("need a d-vector and a d x d matrix")
-
-    def f(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return vec + y @ mat.T
-
-    return f
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpAtom:
-    """One jump channel: constant arrival rate and state-dependent size."""
+    """One jump channel: arrival rate ``nu`` and jump vector ``f(y) = vector + matrix @ y``.
+
+    ``matrix=None`` is a constant jump and is stored as zeros.  Both arrays
+    are stored read-only.
+    """
 
     rate: float
-    jump: Field
+    vector: np.ndarray
+    matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not (self.rate > 0) or not np.isfinite(self.rate):
             raise ValueError(f"jump rate must be positive and finite, got {self.rate}")
+        vec = np.array(self.vector, dtype=float)
+        if vec.ndim != 1:
+            raise ValueError(f"jump vector must be one-dimensional, got shape {vec.shape}")
+        d = vec.shape[0]
+        mat = np.zeros((d, d)) if self.matrix is None else np.array(self.matrix, dtype=float)
+        if mat.shape != (d, d):
+            raise ValueError(f"jump matrix must be ({d}, {d}), got shape {mat.shape}")
+        vec.flags.writeable = False
+        mat.flags.writeable = False
+        object.__setattr__(self, "vector", vec)
+        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +56,8 @@ class LocalModel:
     ``(d, m)`` matrix; it is stored read-only together with ``sigma sigma^T``.
     Jump channels fire at rate ``n * nu_j`` with increments ``f_j(X) / n``,
     so drift, diffusion and jumps all contribute at the same exponential
-    order as the scale parameter ``n`` grows.
+    order as the scale parameter ``n`` grows.  The channels' rates ``(J,)``,
+    vectors ``(J, d)`` and matrices ``(J, d, d)`` are stacked once, read-only.
     """
 
     dim: int
@@ -75,6 +65,9 @@ class LocalModel:
     diffusion: np.ndarray
     jumps: tuple[JumpAtom, ...] = ()
     _noise_cov: np.ndarray = field(init=False, repr=False, compare=False)
+    jump_rates: np.ndarray = field(init=False, repr=False)
+    _jump_vectors: np.ndarray = field(init=False, repr=False)
+    _jump_matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -84,12 +77,22 @@ class LocalModel:
         sig = np.array(self.diffusion, dtype=float)
         if sig.ndim != 2 or sig.shape[0] != self.dim:
             raise ValueError(f"diffusion must be a ({self.dim}, m) matrix, got shape {sig.shape}")
-        cov = sig @ sig.T
-        sig.flags.writeable = False
-        cov.flags.writeable = False
-        object.__setattr__(self, "diffusion", sig)
-        object.__setattr__(self, "_noise_cov", cov)
-        object.__setattr__(self, "jumps", tuple(self.jumps))
+        jumps = tuple(self.jumps)
+        j, d = len(jumps), self.dim
+        for atom in jumps:
+            if atom.vector.shape != (d,):
+                raise ValueError(f"jump vector must have length {d}, got shape {atom.vector.shape}")
+        stored = {
+            "diffusion": sig,
+            "_noise_cov": sig @ sig.T,
+            "jump_rates": np.array([atom.rate for atom in jumps], dtype=float),
+            "_jump_vectors": np.array([atom.vector for atom in jumps]).reshape(j, d),
+            "_jump_matrices": np.array([atom.matrix for atom in jumps]).reshape(j, d, d),
+        }
+        for name, arr in stored.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "jumps", jumps)
 
     # -- evaluation helpers ------------------------------------------------
 
@@ -105,19 +108,12 @@ class LocalModel:
         return np.broadcast_to(self.diffusion, np.shape(y)[:-1] + self.diffusion.shape)
 
     def jump_values(self, y: np.ndarray) -> np.ndarray:
-        """Stacked jump sizes, shape ``(..., n_jumps, d)``."""
+        """Stacked jump vectors ``f_j(y)``, shape ``(..., n_jumps, d)``."""
         y = np.asarray(y, dtype=float)
-        if not self.jumps:
-            return np.zeros(y.shape[:-1] + (0, self.dim))
-        vals = [np.asarray(atom.jump(y), dtype=float) for atom in self.jumps]
-        for v in vals:
-            if v.shape != y.shape:
-                raise ValueError(f"jump map returned shape {v.shape}, expected {y.shape}")
-        return np.stack(vals, axis=-2)
-
-    @property
-    def jump_rates(self) -> np.ndarray:
-        return np.array([atom.rate for atom in self.jumps])
+        j, d = self._jump_vectors.shape
+        # one product for all channels: bit-identical to ``a_j + y @ M_j.T`` per channel, unlike einsum
+        maps = y @ self._jump_matrices.reshape(j * d, d).T
+        return self._jump_vectors + maps.reshape(y.shape[:-1] + (j, d))
 
     def noise_covariance(self, y: np.ndarray) -> np.ndarray:
         """``sigma sigma^T`` at ``y``: a read-only view of shape ``(..., d, d)``."""
@@ -125,12 +121,8 @@ class LocalModel:
 
     def jump_covariance(self, y: np.ndarray) -> np.ndarray:
         """``sum_j nu_j f_j f_j^T`` at ``y``, shape ``(..., d, d)``."""
-        y = np.asarray(y, dtype=float)
         f = self.jump_values(y)
-        if f.shape[-2] == 0:
-            return np.zeros(y.shape[:-1] + (self.dim, self.dim))
-        nu = self.jump_rates
-        return np.einsum("...jk,...jl,j->...kl", f, f, nu)
+        return np.einsum("...jk,...jl,j->...kl", f, f, self.jump_rates)
 
     def local_covariance(self, y: np.ndarray) -> np.ndarray:
         """Total second-order coefficient ``c(y)``."""

@@ -55,7 +55,7 @@ from .maxplus import (
     max_balance_residual,
     shortest_path_closure,
 )
-from .models import JumpAtom, LocalModel, affine_jump, constant_jump
+from .models import JumpAtom, LocalModel
 from .simulate import (
     EmpiricalRate,
     SimConfig,
@@ -195,7 +195,7 @@ class ProblemSpec:
     drift_kind: str
     drift_params: dict
     diffusion: np.ndarray
-    jumps: tuple[tuple[float, np.ndarray, np.ndarray | None], ...]
+    jumps: tuple[JumpAtom, ...]
     box: SearchBox
     tolerances: Tolerances
     solver: SolverSettings
@@ -205,11 +205,7 @@ class ProblemSpec:
 
     def build_model(self) -> LocalModel:
         drift = _drift_field(self.drift_kind, self.drift_params, self.dimension)
-        atoms = []
-        for rate, vector, matrix in self.jumps:
-            jump = constant_jump(vector) if matrix is None else affine_jump(vector, matrix)
-            atoms.append(JumpAtom(rate, jump))
-        return LocalModel(self.dimension, drift, self.diffusion, tuple(atoms))
+        return LocalModel(self.dimension, drift, self.diffusion, self.jumps)
 
 
 def _drift_field(kind: str, params: dict, dim: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -293,7 +289,7 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         matrix = None
         if "matrix" in j:
             matrix = _as_matrix(j["matrix"], dim, dim, f"jumps[{i}].matrix")
-        jumps.append((rate, vector, matrix))
+        jumps.append(JumpAtom(rate, vector, matrix))
 
     box_raw = _require_mapping(top["box"], "box")
     _check_fields(box_raw, "box", required=["lower", "upper", "resolution"])

@@ -186,17 +186,17 @@ class EmpiricalRate:
         return self.counts > 0
 
 
-def empirical_rate(samples: np.ndarray, edges: Sequence[np.ndarray] | np.ndarray, n: int) -> EmpiricalRate:
+def empirical_rate(samples: np.ndarray, edges: Sequence[np.ndarray], n: int) -> EmpiricalRate:
     """Empirical rate function of a sample cloud on a rectangular grid.
 
-    ``edges`` is one monotone edge array per dimension (a single array is
-    accepted for one-dimensional data).  Requires at least ``MIN_SAMPLES``
-    samples: rates are log-frequencies, so sparse histograms produce more
-    censoring than signal.
+    ``samples`` has shape ``(N, d)`` and ``edges`` is a sequence of ``d``
+    monotone edge arrays, one per dimension.  Requires at least
+    ``MIN_SAMPLES`` samples: rates are log-frequencies, so sparse histograms
+    produce more censoring than signal.
     """
     pts = np.asarray(samples, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    if pts.ndim != 2:
+        raise ValueError(f"samples must have shape (N, d), got {pts.shape}")
     if pts.shape[0] < MIN_SAMPLES:
         raise ValueError(
             f"need at least {MIN_SAMPLES} samples for a rate estimate, got {pts.shape[0]}"
@@ -204,10 +204,7 @@ def empirical_rate(samples: np.ndarray, edges: Sequence[np.ndarray] | np.ndarray
     if n < 1:
         raise ValueError("scale n must be a positive integer")
     d = pts.shape[1]
-    if isinstance(edges, np.ndarray) and edges.ndim == 1:
-        edge_list = [np.asarray(edges, dtype=float)]
-    else:
-        edge_list = [np.asarray(e, dtype=float) for e in edges]
+    edge_list = [np.asarray(e, dtype=float) for e in edges]
     if len(edge_list) != d:
         raise ValueError(f"got {len(edge_list)} edge arrays for {d}-dimensional data")
     for e in edge_list:

@@ -32,7 +32,7 @@ from quasipot.maxplus import (
     max_balance_residual,
     shortest_path_closure,
 )
-from quasipot.models import JumpAtom, LocalModel, constant_jump
+from quasipot.models import JumpAtom, LocalModel
 from quasipot.simulate import SimConfig, empirical_rate, simulate, validation_report
 from quasipot.trees import min_arborescence, min_in_tree_cost_bruteforce, stationary_rates
 
@@ -315,7 +315,7 @@ def test_criterion_09_convexity_and_jump_monotonicity(verdict):
     for _ in range(1000):
         sig = np.array([[float(rng.uniform(0.4, 2.0))]])
         atoms = tuple(
-            JumpAtom(float(rng.uniform(0.1, 2.0)), constant_jump([float(rng.uniform(-1.0, 1.0)) or 0.5]))
+            JumpAtom(float(rng.uniform(0.1, 2.0)), [float(rng.uniform(-1.0, 1.0)) or 0.5])
             for _ in range(int(rng.integers(0, 3)))
         )
         model = LocalModel(1, lambda y: -np.asarray(y, dtype=float), sig, atoms)
@@ -333,7 +333,7 @@ def test_criterion_09_convexity_and_jump_monotonicity(verdict):
         base = LocalModel(1, lambda y: -np.asarray(y, dtype=float), sig)
         atom = JumpAtom(
             float(rng.uniform(0.1, 3.0)),
-            constant_jump([float(rng.uniform(0.05, 1.5)) * (1 if rng.random() < 0.5 else -1)]),
+            [float(rng.uniform(0.05, 1.5)) * (1 if rng.random() < 0.5 else -1)],
         )
         richer = LocalModel(1, lambda y: -np.asarray(y, dtype=float), sig, (atom,))
         y = rng.normal(size=1)

@@ -33,7 +33,7 @@ from quasipot.action import (
     quasipotential,
     quasipotential_1d,
 )
-from quasipot.models import JumpAtom, LocalModel, Path, constant_jump
+from quasipot.models import JumpAtom, LocalModel, Path
 
 JUMP_DUAL_ORACLE = 0.39353323285015607
 JUMP_OU_ORACLE = 0.55864329896102
@@ -78,7 +78,7 @@ def test_lagrangian_jump_dual_matches_grid_oracle():
         1,
         lambda y: np.zeros_like(np.asarray(y, dtype=float)),
         np.array([[0.5]]),
-        (JumpAtom(2.0, constant_jump([0.4])),),
+        (JumpAtom(2.0, [0.4]),),
     )
     res = local_lagrangian(model, np.zeros(1), np.array([0.7]))
     assert res.converged
@@ -138,7 +138,7 @@ def test_lagrangian_convex_in_velocity(seed, v1, v2):
         1,
         lambda y: -np.asarray(y, dtype=float),
         np.array([[float(rng.uniform(0.5, 2.0))]]),
-        (JumpAtom(float(rng.uniform(0.1, 2.0)), constant_jump([float(rng.uniform(-1, 1)) or 0.3])),),
+        (JumpAtom(float(rng.uniform(0.1, 2.0)), [float(rng.uniform(-1, 1)) or 0.3]),),
     )
     y = rng.normal(size=1)
     a = local_lagrangian(model, y, np.array([v1])).value
@@ -154,7 +154,7 @@ def test_extra_jump_channel_never_increases_cost(seed):
     sig = np.array([[float(rng.uniform(0.5, 2.0))]])
     base = LocalModel(1, lambda y: -np.asarray(y, dtype=float), sig)
     f = float(rng.uniform(0.05, 1.5)) * (1 if rng.random() < 0.5 else -1)
-    atom = JumpAtom(float(rng.uniform(0.1, 3.0)), constant_jump([f]))
+    atom = JumpAtom(float(rng.uniform(0.1, 3.0)), [f])
     richer = LocalModel(1, lambda y: -np.asarray(y, dtype=float), sig, (atom,))
     y = rng.normal(size=1)
     v = rng.normal(size=1) * 2.0
@@ -169,7 +169,7 @@ def test_extra_jump_channel_never_increases_cost(seed):
 def test_gradient_matches_finite_differences():
     from quasipot.action import _value_and_gradient
 
-    atom = JumpAtom(0.7, constant_jump([0.5]))
+    atom = JumpAtom(0.7, [0.5])
     model = LocalModel(1, lambda y: -np.asarray(y, dtype=float), np.array([[0.8]]), (atom,))
     rng = np.random.default_rng(3)
     pts = np.cumsum(rng.normal(scale=0.2, size=(9, 1)), axis=0)
@@ -295,7 +295,7 @@ def double_well_model():
 
 
 def jump_ou_model(sigma=1.0, size=0.4):
-    atom = JumpAtom(0.8, constant_jump([size]))
+    atom = JumpAtom(0.8, [size])
     return LocalModel(1, lambda y: -np.asarray(y, dtype=float), np.array([[sigma]]), (atom,))
 
 

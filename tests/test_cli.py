@@ -72,6 +72,16 @@ def test_rates_command_writes_report_and_csv(tmp_path):
     assert float(lines[1].split(",")[1]) == pytest.approx(0.64, rel=0.05)
 
 
+@pytest.mark.parametrize("spec", sorted(SPECS.glob("*.json")), ids=lambda path: path.stem)
+def test_shipped_spec_runs(tmp_path, spec):
+    for command in ("attractors", "rates"):
+        out = tmp_path / command
+        assert cli.main([command, "--spec", str(spec), "--out", str(out)]) == 0
+        assert (out / "report.json").is_file()
+    want = 0 if "linear" in json.loads(spec.read_text()) else 2
+    assert cli.main(["linear", "--spec", str(spec), "--out", str(tmp_path / "linear")]) == want
+
+
 def test_missing_spec_file_is_exit_2(tmp_path):
     assert cli.main(["rates", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasipot.models import JumpAtom, LocalModel, Path, affine_jump, constant_jump
+from quasipot.models import JumpAtom, LocalModel, Path
 
 
 def make_toy_model(jumps=()):
@@ -15,23 +15,55 @@ def make_toy_model(jumps=()):
 
 
 def test_constant_jump_broadcasts():
-    f = constant_jump([1.0, -2.0])
-    out = f(np.zeros((4, 3, 2)))
-    assert out.shape == (4, 3, 2)
+    model = make_toy_model((JumpAtom(1.0, [1.0, -2.0]),))
+    out = model.jump_values(np.random.default_rng(0).normal(size=(4, 3, 2)))
+    assert out.shape == (4, 3, 1, 2)
     assert np.all(out[..., 0] == 1.0) and np.all(out[..., 1] == -2.0)
 
 
 def test_affine_jump():
-    f = affine_jump([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
-    got = f(np.array([[2.0, 3.0]]))
-    np.testing.assert_allclose(got, [[1.0 + 3.0, 2.0]])
+    model = make_toy_model((JumpAtom(1.0, [1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]),))
+    got = model.jump_values(np.array([[2.0, 3.0]]))
+    np.testing.assert_allclose(got[:, 0], [[1.0 + 3.0, 2.0]])
 
 
 def test_jump_atom_rejects_bad_rate():
-    f = constant_jump([1.0])
     for rate in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
-            JumpAtom(rate, f)
+            JumpAtom(rate, [1.0])
+
+
+def test_jump_shapes_are_checked():
+    # a jump vector shorter than the model used to broadcast silently
+    with pytest.raises(ValueError, match="length 2"):
+        LocalModel(2, lambda y: -y, np.eye(2), (JumpAtom(1.0, [0.5]),))
+    with pytest.raises(ValueError, match="matrix"):
+        JumpAtom(1.0, [0.5, 0.0], np.eye(3))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        JumpAtom(1.0, [[0.5, 0.0]])
+
+
+@pytest.mark.parametrize("batch", [(), (100,), (3, 4)], ids=["point", "rows", "grid"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_jump_values_match_per_channel_formulas_bitwise(d, batch):
+    rng = np.random.default_rng(d)
+    atoms = (
+        JumpAtom(0.7, rng.normal(size=d)),
+        JumpAtom(1.3, rng.normal(size=d), rng.normal(size=(d, d))),
+        JumpAtom(0.4, rng.normal(size=d), rng.normal(size=(d, d))),
+    )
+    y = rng.normal(size=batch + (d,))
+    # constant channel: ``broadcast_to(vector)``; affine channel: ``vector + y @ matrix.T``
+    want = np.stack(
+        [np.broadcast_to(atoms[0].vector, y.shape)]
+        + [atom.vector + y @ atom.matrix.T for atom in atoms[1:]],
+        axis=-2,
+    )
+    for j in range(4):
+        model = LocalModel(d, lambda y: -y, np.eye(d), atoms[:j])
+        got = model.jump_values(y)
+        assert got.shape == batch + (j, d)
+        assert np.array_equal(got, want[..., :j, :])
 
 
 def test_drift_shape_check():
@@ -64,8 +96,8 @@ def test_noise_covariance_formula():
 
 def test_jump_covariance_formula():
     atoms = (
-        JumpAtom(0.5, constant_jump([1.0, 0.0])),
-        JumpAtom(2.0, constant_jump([0.0, 3.0])),
+        JumpAtom(0.5, [1.0, 0.0]),
+        JumpAtom(2.0, [0.0, 3.0]),
     )
     model = make_toy_model(atoms)
     got = model.jump_covariance(np.zeros(2))
@@ -79,8 +111,8 @@ def test_jump_covariance_formula():
 
 def test_jump_values_stacking():
     atoms = (
-        JumpAtom(1.0, constant_jump([1.0, 0.0])),
-        JumpAtom(1.0, affine_jump([0.0, 0.0], np.eye(2))),
+        JumpAtom(1.0, [1.0, 0.0]),
+        JumpAtom(1.0, [0.0, 0.0], np.eye(2)),
     )
     model = make_toy_model(atoms)
     y = np.array([[2.0, -1.0], [0.0, 4.0]])
@@ -107,7 +139,7 @@ def test_assert_nondegenerate():
 
 def test_degenerate_diffusion_fixed_by_jump():
     # a jump channel can restore full rank by itself
-    atom = JumpAtom(1.0, constant_jump([0.0, 1.0]))
+    atom = JumpAtom(1.0, [0.0, 1.0])
     model = LocalModel(2, lambda y: -np.asarray(y, float), np.array([[1.0], [0.0]]), (atom,))
     model.assert_nondegenerate(np.zeros(2))
 
@@ -119,7 +151,7 @@ def test_local_covariance_is_psd(seed):
     d = int(rng.integers(1, 4))
     sig = rng.normal(size=(d, int(rng.integers(1, 4))))
     atoms = tuple(
-        JumpAtom(float(rng.uniform(0.1, 2.0)), constant_jump(rng.normal(size=d)))
+        JumpAtom(float(rng.uniform(0.1, 2.0)), rng.normal(size=d))
         for _ in range(int(rng.integers(0, 3)))
     )
     model = LocalModel(d, lambda y: -np.asarray(y, float), sig, atoms)

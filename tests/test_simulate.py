@@ -9,7 +9,7 @@ used here.
 import numpy as np
 import pytest
 
-from quasipot.models import JumpAtom, LocalModel, affine_jump, constant_jump
+from quasipot.models import JumpAtom, LocalModel
 from quasipot.simulate import (
     _BLOCK,
     MIN_SAMPLES,
@@ -100,7 +100,7 @@ def test_ou_stationary_variance_scaling():
 
 def test_jump_channel_compensation():
     # compensated jumps leave the mean at the drift fixed point
-    atom = JumpAtom(3.0, constant_jump([0.2]))
+    atom = JumpAtom(3.0, [0.2])
     model = LocalModel(1, lambda y: -np.asarray(y, float), np.array([[0.5]]), (atom,))
     x = simulate(model, base_config(n=40, horizon=200.0, replicas=6, seed=9))
     assert abs(x.mean()) < 0.01
@@ -147,8 +147,8 @@ def reference_euler(model, cfg):
 
 def rotated_jump_model():
     atoms = (
-        JumpAtom(0.7, constant_jump([0.3, -0.1])),
-        JumpAtom(1.3, affine_jump([0.05, 0.0], [[-0.2, 0.1], [0.0, -0.3]])),
+        JumpAtom(0.7, [0.3, -0.1]),
+        JumpAtom(1.3, [0.05, 0.0], [[-0.2, 0.1], [0.0, -0.3]]),
     )
     matrix = np.array([[-1.0, 0.4], [-0.3, -1.5]])
     sigma = np.array([[0.9, 0.3], [-0.2, 1.1]])
@@ -183,6 +183,8 @@ def test_per_replica_initial_states():
 def test_empirical_rate_requires_enough_samples():
     with pytest.raises(ValueError, match="sample"):
         empirical_rate(np.zeros((MIN_SAMPLES - 1, 1)), [np.linspace(-1, 1, 5)], 10)
+    with pytest.raises(ValueError, match="shape"):
+        empirical_rate(np.zeros(MIN_SAMPLES), [np.linspace(-1, 1, 5)], 10)
 
 
 def test_empirical_rate_minimum_is_zero_and_censoring_marked():
