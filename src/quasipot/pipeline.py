@@ -808,9 +808,10 @@ def run_validate(
 
     The bin-center escape costs join the batch of solves of the `rates`
     report, so they count toward its failure quota and ``solver_runs``.
-    Each entry of ``simulation.n_values`` produces one simulated sample
-    cloud, an empirical rate estimate on the spec bins, and a comparison
-    against the predicted rate at the populated bin centers.
+    One :func:`simulate` call runs the whole ``simulation.n_values`` ladder;
+    each rung's sample cloud gives an empirical rate estimate on the spec
+    bins and a comparison against the predicted rate at the populated bin
+    centers.
     """
     if spec.simulation is None:
         raise SpecError("validate requires a 'simulation' section in the problem spec")
@@ -829,22 +830,22 @@ def run_validate(
     if initial.shape[0] != reps:
         initial = initial[np.arange(reps) % initial.shape[0]]
 
+    config = SimConfig(
+        n_values=sim.n_values,
+        dt=sim.dt,
+        burn_in=sim.burn_in,
+        horizon=sim.horizon,
+        seed=use_seed,
+        initial=initial,
+        replicas=reps,
+        stride=sim.stride,
+    )
+    try:
+        ladder = simulate(model, config)
+    except SimulationBlowup as exc:
+        raise SolverError(f"simulation at n={exc.n} failed: {exc}") from exc
     results: list[ValidationRunResult] = []
-    for n in sim.n_values:
-        config = SimConfig(
-            n=n,
-            dt=sim.dt,
-            burn_in=sim.burn_in,
-            horizon=sim.horizon,
-            seed=use_seed,
-            initial=initial,
-            replicas=reps,
-            stride=sim.stride,
-        )
-        try:
-            samples = simulate(model, config)
-        except SimulationBlowup as exc:
-            raise SolverError(f"simulation at n={n} failed: {exc}") from exc
+    for n, samples in zip(sim.n_values, ladder):
         try:
             emp = empirical_rate(samples, edges, n)
         except ValueError as exc:

@@ -7,9 +7,14 @@ increment ``(K_j / n - nu_j dt) f_j(X)`` where ``K_j ~ Poisson(n nu_j dt)``;
 the subtracted compensator keeps the drift of the jump noise at zero so all
 three noise sources vanish together as ``n`` grows.
 
-Replicas evolve in lockstep as one vectorized batch, but each replica draws
-from its own random stream keyed by ``(seed, replica index)``, so results
-are reproducible and independent of the number of replicas run together.
+A whole ladder of scales runs at once: every (rung, replica) pair evolves
+in lockstep as one vectorized batch.  Seeding stays per replica: replica
+``r`` draws from a stream keyed by ``(seed, r)`` in every rung, so results
+are reproducible and each rung's samples equal a one-rung run, whatever the
+number of replicas or rungs run together.  Without jumps the rungs share
+each replica's normals and only scale them by ``sqrt(dt / n)``; with jumps
+every (rung, replica) pair keeps its own stream, because the Poisson draws
+depend on ``n``.
 Occupation statistics turn into empirical rates via
 ``-(1/n) log(relative frequency)``, shifted so the most occupied bin sits
 at rate 0.
@@ -37,19 +42,27 @@ MIN_SAMPLES = 10_000
 
 
 class SimulationBlowup(RuntimeError):
-    """A trajectory left the admissible region; the drift is not confining."""
+    """A trajectory left the admissible region; the drift is not confining.
+
+    ``n`` is the scale of the rung whose state left the region.
+    """
+
+    def __init__(self, n: int, message: str) -> None:
+        super().__init__(message)
+        self.n = n
 
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Parameters of one simulation run.
+    """Parameters of one simulation ladder.
 
-    ``n`` is the large-deviation scale: noise variance shrinks like ``1/n``.
-    Samples are recorded every ``stride`` steps after ``burn_in`` time has
-    elapsed.  ``initial`` is one state for all replicas or one per replica.
+    ``n_values`` are the large-deviation scales of the ladder's rungs: noise
+    variance shrinks like ``1/n``.  Samples are recorded every ``stride``
+    steps after ``burn_in`` time has elapsed.  ``initial`` is one state for
+    all replicas or one per replica; every rung starts from the same states.
     """
 
-    n: int
+    n_values: tuple[int, ...]
     dt: float
     burn_in: float
     horizon: float
@@ -59,8 +72,10 @@ class SimConfig:
     stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("scale n must be a positive integer")
+        n_values = tuple(self.n_values)
+        if not n_values or any(n < 1 for n in n_values):
+            raise ValueError("n_values must be a non-empty sequence of positive integers")
+        object.__setattr__(self, "n_values", n_values)
         if not (self.dt > 0) or not math.isfinite(self.dt):
             raise ValueError("dt must be positive and finite")
         if self.burn_in < 0 or self.horizon <= self.burn_in:
@@ -93,63 +108,78 @@ def _replica_rngs(seed: int, replicas: int) -> list[np.random.Generator]:
 
 
 def simulate(model: LocalModel, config: SimConfig) -> np.ndarray:
-    """Sampled states of all replicas, shape ``(num_samples, d)``.
+    """Sampled states of every rung, shape ``(rungs, replicas * snapshots, d)``.
 
-    Samples are ordered replica-major (all samples of replica 0, then
-    replica 1, ...).  Identical configurations produce identical arrays;
-    the per-replica streams also make each replica's trajectory independent
-    of how many other replicas run alongside it.
+    Row ``k`` holds the samples at scale ``config.n_values[k]``, ordered
+    replica-major (all samples of replica 0, then replica 1, ...).  All
+    rungs step together as one ``(rungs * replicas, d)`` batch.  Replica
+    ``r`` draws from ``SeedSequence((seed, r))`` in every rung, so each row
+    equals a one-rung run at its ``n``, and each replica's trajectory is
+    independent of how many other replicas or rungs run alongside it.
+    Without jumps a replica's normals do not depend on ``n``, so one stream
+    per replica feeds every rung; with jumps each (rung, replica) owns a
+    stream, because its Poisson draws at rate ``n nu dt`` interleave with
+    its normals.
     """
-    if config.initial.shape[1] != model.dim:
+    d = model.dim
+    if config.initial.shape[1] != d:
         raise ValueError(
-            f"initial states have dimension {config.initial.shape[1]}, model has {model.dim}"
+            f"initial states have dimension {config.initial.shape[1]}, model has {d}"
         )
-    n = config.n
+    n_values = config.n_values
+    rungs = len(n_values)
     dt = config.dt
     reps = config.replicas
-    rngs = _replica_rngs(config.seed, reps)
-    x = config.initial.copy()
-    sqrt_dt_over_n = math.sqrt(dt / n)
+    total_steps = config.num_steps
+    burn = config.burn_steps
+    snapshots = max(total_steps - burn, 0) // config.stride
+    if not snapshots:
+        raise ValueError("no samples collected; lengthen the horizon or shrink the stride")
     sigma = model.diffusion
     m = sigma.shape[1]
     nu = model.jump_rates
     j = len(nu)
-    lam = n * nu * dt if j else None
+    streams = [_replica_rngs(config.seed, reps) for _ in range(rungs if j else 1)]
+    # per-rung factors, shaped to broadcast over (rungs, replicas, ...)
+    n_col = np.array(n_values, dtype=float)[:, None, None]
+    scale = np.sqrt(dt / n_col)
 
-    total_steps = config.num_steps
-    burn = config.burn_steps
-    collected: list[np.ndarray] = []
+    x = np.tile(config.initial, (rungs, 1))  # rung-major (rungs * replicas, d)
+    out = np.empty((rungs, reps, snapshots, d))
     step = 0
     while step < total_steps:
         block = min(_BLOCK, total_steps - step)
-        # filled in place: stacking per-replica arrays held each block twice
-        kicks = np.empty((reps, block, model.dim))
-        for r, rng in enumerate(rngs):
-            np.einsum("dm,km->kd", sigma, rng.standard_normal((block, m)), out=kicks[r])
-        kicks *= sqrt_dt_over_n
+        # unscaled sigma xi, one row per stream set: (1 or rungs, replicas, block, d)
+        kicks = np.empty((len(streams), reps, block, d))
+        for g, rngs in enumerate(streams):
+            for r, rng in enumerate(rngs):
+                np.einsum("dm,km->kd", sigma, rng.standard_normal((block, m)), out=kicks[g, r])
         if j:
-            counts = np.stack(
-                [rng.poisson(lam, (block, j)) for rng in rngs]
-            ).astype(float)
+            counts = np.array(
+                [[rng.poisson(n * nu * dt, (block, j)) for rng in rngs] for n, rngs in zip(n_values, streams)],
+                dtype=float,
+            )
         for k in range(block):
-            incr = model.drift_at(x) * dt + kicks[:, k]
+            incr = model.drift_at(x) * dt + (kicks[:, :, k] * scale).reshape(x.shape)
             if j:
-                weights = counts[:, k] / n - nu * dt
+                weights = (counts[:, :, k] / n_col - nu * dt).reshape(-1, j)
                 incr = incr + np.einsum("rj,rjd->rd", weights, model.jump_values(x))
             x = x + incr
             step += 1
-            if np.abs(x).max() > BLOWUP_LIMIT:
-                raise SimulationBlowup(
-                    f"state magnitude exceeded {BLOWUP_LIMIT:g} at step {step} "
-                    f"(time {step * dt:.6g}); the drift does not appear to "
-                    "confine the dynamics on this domain"
-                )
+            # one flat maximum per step is cheaper than per-rung maxima; a NaN
+            # also fails it, but only a rung past the limit raises, as in a one-rung run
+            if not np.abs(x).max() <= BLOWUP_LIMIT:
+                over = np.abs(x).reshape(rungs, -1).max(axis=1) > BLOWUP_LIMIT
+                if over.any():
+                    raise SimulationBlowup(
+                        n_values[over.argmax()],
+                        f"state magnitude exceeded {BLOWUP_LIMIT:g} at step {step} "
+                        f"(time {step * dt:.6g}); the drift does not appear to "
+                        "confine the dynamics on this domain",
+                    )
             if step > burn and (step - burn) % config.stride == 0:
-                collected.append(x.copy())
-    if not collected:
-        raise ValueError("no samples collected; lengthen the horizon or shrink the stride")
-    stacked = np.stack(collected)  # (snapshots, replicas, d)
-    return np.ascontiguousarray(stacked.transpose(1, 0, 2)).reshape(-1, model.dim)
+                out[:, :, (step - burn) // config.stride - 1] = x.reshape(rungs, reps, d)
+    return out.reshape(rungs, reps * snapshots, d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -280,12 +280,11 @@ def test_criterion_08_monte_carlo_ladder(verdict):
     initial = np.array([[-1.0], [1.0]])[np.arange(replicas) % 2]
     sups = []
     saddle_err = None
-    for n in (20, 40, 80):
-        cfg = SimConfig(
-            n=n, dt=0.01, burn_in=50.0, horizon=2000.0, seed=20260825,
-            initial=initial, replicas=replicas, stride=20,
-        )
-        samples = simulate(model, cfg)
+    cfg = SimConfig(
+        n_values=(20, 40, 80), dt=0.01, burn_in=50.0, horizon=2000.0, seed=20260825,
+        initial=initial, replicas=replicas, stride=20,
+    )
+    for n, samples in zip(cfg.n_values, simulate(model, cfg)):
         emp = empirical_rate(samples, edges, n)
         rep = validation_report(predicted, emp)
         sups.append(rep.sup_error)

@@ -229,6 +229,17 @@ def test_negative_seed_override_is_exit_2_before_solving(tmp_path, capsys, monke
     assert capsys.readouterr().err.startswith("spec error: ")
 
 
+def test_validate_blowup_names_its_rung(tmp_path, capsys):
+    payload = json.loads((SPECS / "ou1d.json").read_text())
+    payload["simulation"]["dt"] = 2.5  # an unstable Euler step for the unit OU drift
+    spec = write_spec(tmp_path, payload)
+    assert cli.main(["validate", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "solver error: simulation at n=20 failed: state magnitude exceeded 1e+06 at step 36 "
+        "(time 90); the drift does not appear to confine the dynamics on this domain\n"
+    )
+
+
 def test_seed_is_a_validate_option_only(tmp_path):
     spec = write_spec(tmp_path, fast_ou_spec())
     with pytest.raises(SystemExit) as exc:

@@ -364,6 +364,30 @@ def test_run_validate_small_ladder():
     assert payload["validation"]["monotone_trend"] is True
 
 
+def test_run_validate_simulates_the_ladder_in_one_call(monkeypatch):
+    # per-layer tracing wraps `pipeline.simulate` as `(model, config)`
+    import quasipot.pipeline as pipeline
+
+    real = pipeline.simulate
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "simulate", recording)
+    ladder = dict(SMALL_LADDER, n_values=[20, 30])
+    spec = parse_problem_spec(ou_spec_dict(evaluation_points=[], simulation=ladder))
+    _, results = run_validate(spec)
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert kwargs == {} and len(args) == 2
+    model, config = args
+    assert model.dim == 1
+    assert config.n_values == spec.simulation.n_values == (20, 30)
+    assert [r.n for r in results] == [20, 30]
+
+
 def test_run_linear_report():
     raw = {
         "dimension": 2,

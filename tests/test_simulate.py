@@ -31,7 +31,7 @@ def ou_model(k=1.0, s=1.0):
 
 def base_config(**overrides):
     kwargs = dict(
-        n=50,
+        n_values=(50,),
         dt=0.01,
         burn_in=2.0,
         horizon=80.0,
@@ -46,7 +46,9 @@ def base_config(**overrides):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        base_config(n=0)
+        base_config(n_values=(0,))
+    with pytest.raises(ValueError):
+        base_config(n_values=())
     with pytest.raises(ValueError):
         base_config(dt=-0.1)
     with pytest.raises(ValueError):
@@ -61,7 +63,7 @@ def test_config_validation():
 
 def test_sample_count_arithmetic():
     cfg = base_config()
-    x = simulate(ou_model(), cfg)
+    x = simulate(ou_model(), cfg)[0]
     steps = int(round(cfg.horizon / cfg.dt))
     burn = int(round(cfg.burn_in / cfg.dt))
     per_replica = (steps - burn) // cfg.stride
@@ -70,30 +72,30 @@ def test_sample_count_arithmetic():
 
 def test_simulation_is_deterministic():
     cfg = base_config()
-    a = simulate(ou_model(), cfg)
-    b = simulate(ou_model(), cfg)
+    a = simulate(ou_model(), cfg)[0]
+    b = simulate(ou_model(), cfg)[0]
     np.testing.assert_array_equal(a, b)
 
 
 def test_replica_streams_are_keyed_not_positional():
     # the first replicas of a wider run reproduce the narrower run exactly
-    wide = simulate(ou_model(), base_config(replicas=6))
-    narrow = simulate(ou_model(), base_config(replicas=3))
+    wide = simulate(ou_model(), base_config(replicas=6))[0]
+    narrow = simulate(ou_model(), base_config(replicas=3))[0]
     per = narrow.shape[0] // 3
     np.testing.assert_array_equal(wide[: 3 * per], narrow)
 
 
 def test_seed_changes_output():
-    a = simulate(ou_model(), base_config(seed=1))
-    b = simulate(ou_model(), base_config(seed=2))
+    a = simulate(ou_model(), base_config(seed=1))[0]
+    b = simulate(ou_model(), base_config(seed=2))[0]
     assert not np.array_equal(a, b)
 
 
 def test_ou_stationary_variance_scaling():
     k, s = 1.0, 1.0
     for n in (20, 80):
-        cfg = base_config(n=n, horizon=300.0, burn_in=5.0, replicas=8, seed=4)
-        x = simulate(ou_model(k, s), cfg)
+        cfg = base_config(n_values=(n,), horizon=300.0, burn_in=5.0, replicas=8, seed=4)
+        x = simulate(ou_model(k, s), cfg)[0]
         target = s * s / (2 * k * n)
         assert x.var() == pytest.approx(target, rel=0.15)
 
@@ -102,7 +104,7 @@ def test_jump_channel_compensation():
     # compensated jumps leave the mean at the drift fixed point
     atom = JumpAtom(3.0, [0.2])
     model = LocalModel(1, lambda y: -np.asarray(y, float), np.array([[0.5]]), (atom,))
-    x = simulate(model, base_config(n=40, horizon=200.0, replicas=6, seed=9))
+    x = simulate(model, base_config(n_values=(40,), horizon=200.0, replicas=6, seed=9))[0]
     assert abs(x.mean()) < 0.01
 
 
@@ -117,8 +119,22 @@ def test_blowup_is_reported():
         simulate(model, cfg)
 
 
-def reference_euler(model, cfg):
-    """Euler-Maruyama with ``sigma(X) xi`` evaluated at every step."""
+def test_blowup_names_its_rung():
+    # every rung leaves the region at the same step: the lowest index is named
+    runaway = LocalModel(1, lambda y: np.asarray(y, float) ** 2, np.eye(1))
+    cfg = base_config(n_values=(50, 20), dt=0.5, initial=np.array([10.0]), horizon=400.0)
+    with pytest.raises(SimulationBlowup) as info:
+        simulate(runaway, cfg)
+    assert info.value.n == 50
+    # an unstable linear step from 0: the noisier rung, n = 20, leaves first
+    cfg = base_config(n_values=(80, 20), dt=2.5, horizon=400.0)
+    with pytest.raises(SimulationBlowup) as info:
+        simulate(ou_model(), cfg)
+    assert info.value.n == 20
+
+
+def reference_euler(model, cfg, n):
+    """One rung at scale ``n``: Euler-Maruyama with ``sigma(X) xi`` evaluated at every step."""
     seeds = [np.random.SeedSequence((cfg.seed, r)) for r in range(cfg.replicas)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     nu = model.jump_rates
@@ -129,14 +145,14 @@ def reference_euler(model, cfg):
         block = min(_BLOCK, cfg.num_steps - start)
         normals = np.stack([rng.standard_normal((block, m)) for rng in rngs])
         if len(nu):
-            counts = np.stack([rng.poisson(cfg.n * nu * cfg.dt, (block, len(nu))) for rng in rngs])
+            counts = np.stack([rng.poisson(n * nu * cfg.dt, (block, len(nu))) for rng in rngs])
         for k in range(block):
             sig = model.diffusion_at(x)
-            incr = model.drift_at(x) * cfg.dt + np.sqrt(cfg.dt / cfg.n) * np.einsum(
+            incr = model.drift_at(x) * cfg.dt + np.sqrt(cfg.dt / n) * np.einsum(
                 "rdm,rm->rd", sig, normals[:, k]
             )
             if len(nu):
-                weights = counts[:, k].astype(float) / cfg.n - nu * cfg.dt
+                weights = counts[:, k].astype(float) / n - nu * cfg.dt
                 incr = incr + np.einsum("rj,rjd->rd", weights, model.jump_values(x))
             x = x + incr
             step = start + k + 1
@@ -155,22 +171,38 @@ def rotated_jump_model():
     return LocalModel(2, lambda y: np.asarray(y, float) @ matrix.T, sigma, atoms)
 
 
-@pytest.mark.parametrize(
+REFERENCE_MODELS = pytest.mark.parametrize(
     "model, initial",
     [(ou_model(k=0.7, s=1.3), np.zeros(1)), (rotated_jump_model(), np.array([0.2, -0.1]))],
     ids=["1d-no-jumps", "2d-m2-jumps"],
 )
+
+
+@REFERENCE_MODELS
 def test_simulate_matches_per_step_reference_bitwise(model, initial):
     # crosses one draw-block boundary, so per-block scaling is exercised twice
     horizon = (_BLOCK + 500) * 0.01
-    cfg = base_config(n=30, horizon=horizon, burn_in=1.0, stride=7, initial=initial, replicas=3)
-    np.testing.assert_array_equal(simulate(model, cfg), reference_euler(model, cfg))
+    cfg = base_config(n_values=(30,), horizon=horizon, burn_in=1.0, stride=7, initial=initial, replicas=3)
+    np.testing.assert_array_equal(simulate(model, cfg)[0], reference_euler(model, cfg, 30))
+
+
+@REFERENCE_MODELS
+def test_ladder_rows_match_one_rung_reference_bitwise(model, initial):
+    # the rungs step as one batch, yet each row is the one-rung run at its n
+    horizon = (_BLOCK + 500) * 0.01
+    cfg = base_config(
+        n_values=(20, 30, 45), horizon=horizon, burn_in=1.0, stride=7, initial=initial, replicas=3
+    )
+    ladder = simulate(model, cfg)
+    assert ladder.shape[0] == 3
+    for row, n in zip(ladder, cfg.n_values):
+        assert np.array_equal(row, reference_euler(model, cfg, n))
 
 
 def test_per_replica_initial_states():
     init = np.array([[-1.0], [1.0]])
     cfg = base_config(replicas=2, initial=init, horizon=3.0, burn_in=0.0, stride=1)
-    x = simulate(ou_model(k=1e-9, s=1e-9), cfg)
+    x = simulate(ou_model(k=1e-9, s=1e-9), cfg)[0]
     per = x.shape[0] // 2
     # with negligible drift and noise each replica stays near its own start
     assert np.allclose(x[:per], -1.0, atol=1e-3)
