@@ -38,6 +38,14 @@ DEFAULT_SWEEP = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 #: Action values at or above this are reported as unreachable (infinite).
 COST_CAP = 1e6
 
+#: Largest drift speed ``|b(a)|`` at which an escape's start ``a`` counts as
+#: an equilibrium.
+EQUILIBRIUM_TOL = 1e-6
+
+#: L-BFGS iteration cap of each :func:`minimize_action` (function
+#: evaluations are capped at ten times this).
+MAX_ITERATIONS = 2000
+
 # Dual Newton solve: iteration cap, and the max-norm gradient that converges a row.
 _DUAL_MAX_ITER = 50
 _DUAL_GRAD_TOL = 1e-10
@@ -282,16 +290,15 @@ def minimize_action(
     horizon: float,
     num_segments: int,
     init: Path | None = None,
-    *,
-    max_iterations: int = 2000,
 ) -> tuple[Path, ActionValue]:
     """Minimize the discrete action over paths from ``x0`` to ``x1``.
 
     Starts from the better of the straight line and the optional warm start
     (on the same horizon and grid, with endpoints forced), then runs
-    L-BFGS-B over the interior nodes with the envelope gradient of
-    :func:`_value_and_gradient`.  The output is the best path seen, so the
-    value never exceeds the straight-line action.
+    L-BFGS-B over the interior nodes, for at most ``MAX_ITERATIONS``
+    iterations, with the envelope gradient of :func:`_value_and_gradient`.
+    The output is the best path seen, so the value never exceeds the
+    straight-line action.
 
     Convergence means any of: the max-norm gradient fell below
     ``_MINIMIZE_GRAD_TOL``; the optimizer's own relative-reduction test
@@ -356,8 +363,8 @@ def minimize_action(
         method="L-BFGS-B",
         callback=record,
         options={
-            "maxiter": max_iterations,
-            "maxfun": 10 * max_iterations,
+            "maxiter": MAX_ITERATIONS,
+            "maxfun": 10 * MAX_ITERATIONS,
             "gtol": _MINIMIZE_GRAD_TOL,
             "ftol": 1e-14,
             "maxcor": 30,
@@ -387,9 +394,6 @@ def quasipotential(
     target: Sequence[float],
     sweep: Sequence[float] = DEFAULT_SWEEP,
     num_segments: int = 400,
-    *,
-    equilibrium_tol: float = 1e-6,
-    max_iterations: int = 2000,
 ) -> ActionValue:
     """Escape cost from an attractor to a target state.
 
@@ -398,13 +402,12 @@ def quasipotential(
     initial hold at the attractor, which costs nothing because the attractor
     is an equilibrium.  The reported value is the smallest over the sweep;
     extending the sweep can therefore never increase it.  Values reaching
-    ``COST_CAP`` are reported as infinite.  ``max_iterations`` bounds the
-    L-BFGS iterations of each :func:`minimize_action`.
+    ``COST_CAP`` are reported as infinite.
 
     The starting point must actually be an equilibrium of the drift; this is
-    checked against ``equilibrium_tol``.
+    checked against ``EQUILIBRIUM_TOL``.
     """
-    a, x = _escape_endpoints(model, attractor, target, equilibrium_tol)
+    a, x = _escape_endpoints(model, attractor, target)
     sweep = sorted(float(t) for t in sweep)
     if not sweep:
         raise ValueError("horizon sweep must be nonempty")
@@ -417,9 +420,7 @@ def quasipotential(
         init = None
         if prev is not None:
             init = _hold_then_follow(prev, a, horizon, num_segments)
-        path, info = minimize_action(
-            model, a, x, horizon, num_segments, init=init, max_iterations=max_iterations
-        )
+        path, info = minimize_action(model, a, x, horizon, num_segments, init=init)
         if best is None or info.value < best.value:
             best = info
         prev = path
@@ -430,7 +431,7 @@ def quasipotential(
 
 
 def _escape_endpoints(
-    model: LocalModel, attractor: Sequence[float], target: Sequence[float], equilibrium_tol: float
+    model: LocalModel, attractor: Sequence[float], target: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Attractor and target as state vectors; the attractor must be an equilibrium."""
     a = np.asarray(attractor, dtype=float)
@@ -438,9 +439,9 @@ def _escape_endpoints(
     if a.shape != (model.dim,) or x.shape != (model.dim,):
         raise ValueError(f"attractor and target must be vectors of dimension {model.dim}")
     speed = float(np.linalg.norm(model.drift_at(a[None, :])[0]))
-    if speed > equilibrium_tol:
+    if speed > EQUILIBRIUM_TOL:
         raise ValueError(
-            f"|b(attractor)| = {speed:.3g} exceeds equilibrium tolerance {equilibrium_tol:.3g}"
+            f"|b(attractor)| = {speed:.3g} exceeds equilibrium tolerance {EQUILIBRIUM_TOL:.3g}"
         )
     return a, x
 
@@ -475,7 +476,6 @@ def quasipotential_1d(
     target: Sequence[float],
     *,
     breakpoints: Sequence[float] = (),
-    equilibrium_tol: float = 1e-6,
 ) -> ActionValue:
     """Exact escape cost of a one-dimensional model by Hamiltonian quadrature.
 
@@ -494,11 +494,11 @@ def quasipotential_1d(
     and the quadrature raised no warning; ``dual_iterations`` is the largest
     root-solver iteration count.  Values reaching ``COST_CAP`` are reported
     as infinite.  The starting point must be an equilibrium of the drift
-    within ``equilibrium_tol``.
+    within ``EQUILIBRIUM_TOL``.
     """
     if model.dim != 1:
         raise ValueError(f"quadrature escape costs need dimension 1, got {model.dim}")
-    a, x = _escape_endpoints(model, attractor, target, equilibrium_tol)
+    a, x = _escape_endpoints(model, attractor, target)
 
     start, end = float(a[0]), float(x[0])
     sign = 1.0 if end >= start else -1.0

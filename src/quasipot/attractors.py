@@ -17,6 +17,9 @@ import numpy as np
 #: "marginal": the linearization is too close to neutral to classify.
 CLASSIFICATION_MARGIN = 1e-6
 
+#: Default max-norm drift residual at which a Newton root is accepted.
+ROOT_TOL = 1e-9
+
 #: Hard cap on the number of Newton seeds a search box may generate.
 MAX_SEEDS = 200_000
 
@@ -114,9 +117,9 @@ def jacobian_fd(field: Callable[[np.ndarray], np.ndarray], point: Sequence[float
     return jac
 
 
-def _classify(eigenvalues: np.ndarray, margin: float) -> str:
+def _classify(eigenvalues: np.ndarray) -> str:
     real = eigenvalues.real
-    if (np.abs(real) <= margin).any():
+    if (np.abs(real) <= CLASSIFICATION_MARGIN).any():
         return "marginal"
     if (real < 0).all():
         return "stable"
@@ -160,16 +163,16 @@ def _newton(
 def find_equilibria(
     field: Callable[[np.ndarray], np.ndarray],
     box: SearchBox,
-    root_tol: float = 1e-9,
-    *,
-    margin: float = CLASSIFICATION_MARGIN,
+    root_tol: float = ROOT_TOL,
 ) -> list[Equilibrium]:
     """All drift zeros inside the box found from grid-seeded Newton runs.
 
     Roots closer than ``10 * root_tol`` are treated as duplicates (first
     find wins), roots that leave the box are discarded, and the survivors
     are sorted lexicographically by coordinates so the output order does
-    not depend on the seed that found them.
+    not depend on the seed that found them.  An equilibrium with an
+    eigenvalue real part within ``CLASSIFICATION_MARGIN`` of zero is
+    classified "marginal".
     """
     if not (root_tol > 0):
         raise ValueError("root tolerance must be positive")
@@ -187,7 +190,7 @@ def find_equilibria(
     for x in roots:
         jac = jacobian_fd(field, x)
         eig = np.linalg.eigvals(jac)
-        out.append(Equilibrium(x, jac, np.sort_complex(eig), _classify(eig, margin)))
+        out.append(Equilibrium(x, jac, np.sort_complex(eig), _classify(eig)))
     return out
 
 

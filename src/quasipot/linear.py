@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.integrate
@@ -40,6 +41,7 @@ class LinearModel:
 
     ``Db`` must be Hurwitz (all eigenvalue real parts strictly negative) and
     ``c`` symmetric positive definite; both are validated on construction.
+    The Lyapunov Gramian is solved on first use and kept, read-only.
     """
 
     drift_matrix: np.ndarray
@@ -83,6 +85,29 @@ class LinearModel:
         """Slowest decay rate ``min |Re eigenvalue|`` of the drift."""
         return float(-np.linalg.eigvals(self.drift_matrix).real.max())
 
+    @cached_property
+    def gramian(self) -> np.ndarray:
+        """The Gramian of :func:`lyapunov_gramian`, solved once per model."""
+        d = self.dim
+        if d > MAX_LYAPUNOV_DIM:
+            raise ValueError(
+                f"dense Lyapunov solve limited to dimension {MAX_LYAPUNOV_DIM}, got {d}"
+            )
+        db = self.drift_matrix
+        c = self.covariance
+        eye = np.eye(d)
+        lift = np.kron(db, eye) + np.kron(eye, db)
+        g = np.linalg.solve(lift, -c.reshape(-1)).reshape(d, d)
+        g = 0.5 * (g + g.T)
+        residual = np.linalg.norm(db @ g + g @ db.T + c, "fro")
+        scale = np.linalg.norm(c, "fro")
+        if residual > LYAPUNOV_RESIDUAL_TOL * scale:
+            raise ArithmeticError(
+                f"Lyapunov residual {residual:.3g} exceeds {LYAPUNOV_RESIDUAL_TOL:.0e} * |c|_F"
+            )
+        g.flags.writeable = False
+        return g
+
 
 def lyapunov_gramian(model: LinearModel) -> np.ndarray:
     """Controllability Gramian ``G`` with ``Db G + G Db^T + c = 0``.
@@ -90,26 +115,10 @@ def lyapunov_gramian(model: LinearModel) -> np.ndarray:
     Solved densely through the Kronecker lift (a ``d^2 x d^2`` linear
     system), which is exact up to roundoff for the moderate dimensions this
     package targets; larger systems are refused.  The residual is verified
-    against ``LYAPUNOV_RESIDUAL_TOL`` relative to ``|c|_F``.
+    against ``LYAPUNOV_RESIDUAL_TOL`` relative to ``|c|_F``.  The solve runs
+    once per model: every call returns the same read-only array.
     """
-    d = model.dim
-    if d > MAX_LYAPUNOV_DIM:
-        raise ValueError(
-            f"dense Lyapunov solve limited to dimension {MAX_LYAPUNOV_DIM}, got {d}"
-        )
-    db = model.drift_matrix
-    c = model.covariance
-    eye = np.eye(d)
-    lift = np.kron(db, eye) + np.kron(eye, db)
-    g = np.linalg.solve(lift, -c.reshape(-1)).reshape(d, d)
-    g = 0.5 * (g + g.T)
-    residual = np.linalg.norm(db @ g + g @ db.T + c, "fro")
-    scale = np.linalg.norm(c, "fro")
-    if residual > LYAPUNOV_RESIDUAL_TOL * scale:
-        raise ArithmeticError(
-            f"Lyapunov residual {residual:.3g} exceeds {LYAPUNOV_RESIDUAL_TOL:.0e} * |c|_F"
-        )
-    return g
+    return model.gramian
 
 
 def quadratic_rate(model: LinearModel, displacement) -> float:

@@ -31,9 +31,16 @@ import numpy as np
 
 from . import __version__
 from . import action
-from .action import DEFAULT_SWEEP, ActionValue, quasipotential_1d
+from .action import (
+    DEFAULT_SWEEP,
+    EQUILIBRIUM_TOL,
+    MAX_ITERATIONS,
+    ActionValue,
+    quasipotential_1d,
+)
 from .attractors import (
     CLASSIFICATION_MARGIN,
+    ROOT_TOL,
     Equilibrium,
     SearchBox,
     find_equilibria,
@@ -78,6 +85,10 @@ class SolverError(RuntimeError):
 
 class BalanceError(RuntimeError):
     """Computed stationary rates violate the flux balance tolerance."""
+
+
+#: Largest flux balance residual the stationary rates of `rates` may leave.
+BALANCE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -151,19 +162,9 @@ def _as_matrix(v, rows: int, cols: int | None, ctx: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Tolerances:
-    root: float = 1e-9
-    equilibrium: float = 1e-6
-    balance: float = 1e-9
-    margin: float = CLASSIFICATION_MARGIN
-    failure_quota: float = 0.25
-
-
-@dataclass(frozen=True, eq=False)
 class SolverSettings:
     t_sweep: tuple[float, ...] = DEFAULT_SWEEP
     path_points: int = 400
-    max_iterations: int = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +198,7 @@ class ProblemSpec:
     diffusion: np.ndarray
     jumps: tuple[JumpAtom, ...]
     box: SearchBox
-    tolerances: Tolerances
+    failure_quota: float
     solver: SolverSettings
     evaluation_points: np.ndarray
     simulation: SimulationSpec | None
@@ -216,7 +217,7 @@ def _drift_field(kind: str, params: dict, dim: int) -> Callable[[np.ndarray], np
             return np.asarray(y, dtype=float) @ mat.T
 
         return linear
-    if kind == "polynomial":
+    if kind in ("polynomial", "gradient_polynomial"):
         coeffs = params["coefficients"]
 
         def poly(y: np.ndarray) -> np.ndarray:
@@ -224,16 +225,6 @@ def _drift_field(kind: str, params: dict, dim: int) -> Callable[[np.ndarray], np
             return np.polynomial.polynomial.polyval(y[..., 0], coeffs)[..., None]
 
         return poly
-    if kind == "gradient_polynomial":
-        # b = -U' for the polynomial potential U given by its coefficients.
-        coeffs = params["coefficients"]
-        dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-
-        def grad(y: np.ndarray) -> np.ndarray:
-            y = np.asarray(y, dtype=float)
-            return -np.polynomial.polynomial.polyval(y[..., 0], dcoeffs)[..., None]
-
-        return grad
     raise SpecError(f"unknown drift kind {kind!r}")
 
 
@@ -274,6 +265,9 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         coeffs = _as_array(drift["coefficients"], "drift.coefficients")
         if coeffs.ndim != 1 or coeffs.size < 2 or not np.isfinite(coeffs).all():
             raise SpecError("drift.coefficients must be a finite vector with at least 2 entries")
+        if kind == "gradient_polynomial":
+            # b = -U' for the polynomial potential U given by its coefficients.
+            coeffs = -np.polynomial.polynomial.polyder(coeffs)
         params = {"coefficients": coeffs}
     else:
         raise SpecError(f"unknown drift kind {kind!r}")
@@ -303,25 +297,13 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         raise SpecError(f"invalid box: {exc}") from None
 
     tol_raw = _require_mapping(top.get("tolerances", {}), "tolerances")
-    _check_fields(
-        tol_raw,
-        "tolerances",
-        required=[],
-        optional=["root", "equilibrium", "balance", "margin", "failure_quota"],
-    )
-    tol_kwargs = {}
-    for name in ("root", "equilibrium", "balance", "margin"):
-        if name in tol_raw:
-            tol_kwargs[name] = _as_positive(tol_raw[name], f"tolerances.{name}")
-    if "failure_quota" in tol_raw:
-        q = _as_float(tol_raw["failure_quota"], "tolerances.failure_quota")
-        if not (0.0 <= q <= 1.0):
-            raise SpecError(f"tolerances.failure_quota must lie in [0, 1], got {q}")
-        tol_kwargs["failure_quota"] = q
-    tolerances = Tolerances(**tol_kwargs)
+    _check_fields(tol_raw, "tolerances", required=[], optional=["failure_quota"])
+    failure_quota = _as_float(tol_raw.get("failure_quota", 0.25), "tolerances.failure_quota")
+    if not (0.0 <= failure_quota <= 1.0):
+        raise SpecError(f"tolerances.failure_quota must lie in [0, 1], got {failure_quota}")
 
     sol_raw = _require_mapping(top.get("solver", {}), "solver")
-    _check_fields(sol_raw, "solver", required=[], optional=["t_sweep", "path_points", "max_iterations"])
+    _check_fields(sol_raw, "solver", required=[], optional=["t_sweep", "path_points"])
     sol_kwargs = {}
     if "t_sweep" in sol_raw:
         sweep = _as_list(sol_raw["t_sweep"], "solver.t_sweep", nonempty=True)
@@ -331,11 +313,6 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         if npts < 8:
             raise SpecError(f"solver.path_points must be at least 8, got {npts}")
         sol_kwargs["path_points"] = npts
-    if "max_iterations" in sol_raw:
-        mi = _as_int(sol_raw["max_iterations"], "solver.max_iterations")
-        if mi < 1:
-            raise SpecError("solver.max_iterations must be positive")
-        sol_kwargs["max_iterations"] = mi
     solver = SolverSettings(**sol_kwargs)
 
     eval_raw = _as_list(top.get("evaluation_points", []), "evaluation_points")
@@ -391,12 +368,16 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
             bin_count=bin_count,
             initial=initial,
         )
-        if simulation.burn_in < 0 or simulation.burn_in >= simulation.horizon:
+        if not (0 <= simulation.burn_in < simulation.horizon):
             raise SpecError("simulation needs 0 <= burn_in < horizon")
         if simulation.seed < 0:
             raise SpecError(f"simulation.seed must be non-negative, got {simulation.seed}")
         # SimConfig's step counts: fewer steps than one stride record no sample
         dt = simulation.dt
+        if not math.isfinite(simulation.horizon / dt):
+            raise SpecError(
+                f"simulation.dt {dt} is too small: horizon / dt is not a finite step count"
+            )
         steps = round(simulation.horizon / dt) - round(simulation.burn_in / dt)
         if steps < stride:
             raise SpecError(
@@ -433,7 +414,7 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         diffusion=diffusion,
         jumps=tuple(jumps),
         box=box,
-        tolerances=tolerances,
+        failure_quota=failure_quota,
         solver=solver,
         evaluation_points=evaluation,
         simulation=simulation,
@@ -534,24 +515,19 @@ def _provenance(spec: ProblemSpec) -> dict:
         "dimension": spec.dimension,
         "t_sweep": list(spec.solver.t_sweep),
         "path_points": spec.solver.path_points,
-        "max_iterations": spec.solver.max_iterations,
+        "max_iterations": MAX_ITERATIONS,
         "tolerances": {
-            "root": spec.tolerances.root,
-            "equilibrium": spec.tolerances.equilibrium,
-            "balance": spec.tolerances.balance,
-            "margin": spec.tolerances.margin,
-            "failure_quota": spec.tolerances.failure_quota,
+            "root": ROOT_TOL,
+            "equilibrium": EQUILIBRIUM_TOL,
+            "balance": BALANCE_TOL,
+            "margin": CLASSIFICATION_MARGIN,
+            "failure_quota": spec.failure_quota,
         },
     }
 
 
 def _find_attractors(spec: ProblemSpec, model: LocalModel) -> tuple[list[Equilibrium], list[Equilibrium]]:
-    equilibria = find_equilibria(
-        model.drift_at,
-        spec.box,
-        root_tol=spec.tolerances.root,
-        margin=spec.tolerances.margin,
-    )
+    equilibria = find_equilibria(model.drift_at, spec.box)
     if not equilibria:
         raise SolverError("no equilibria found in the search box")
     try:
@@ -636,8 +612,6 @@ def quasipotential(
     equilibria: Sequence[Equilibrium],
     sweep: Sequence[float],
     num_segments: int,
-    equilibrium_tol: float,
-    max_iterations: int,
 ) -> ActionValue:
     """One escape-cost solve of the pipeline; every solve calls this name.
 
@@ -653,17 +627,8 @@ def quasipotential(
             attractor,
             target,
             breakpoints=[eq.position[0] for eq in equilibria],
-            equilibrium_tol=equilibrium_tol,
         )
-    return action.quasipotential(
-        model,
-        attractor,
-        target,
-        sweep=sweep,
-        num_segments=num_segments,
-        equilibrium_tol=equilibrium_tol,
-        max_iterations=max_iterations,
-    )
+    return action.quasipotential(model, attractor, target, sweep=sweep, num_segments=num_segments)
 
 
 def _escape_costs(
@@ -691,16 +656,14 @@ def _escape_costs(
             equilibria=equilibria,
             sweep=spec.solver.t_sweep,
             num_segments=spec.solver.path_points,
-            equilibrium_tol=spec.tolerances.equilibrium,
-            max_iterations=spec.solver.max_iterations,
         )
         for i, k in tasks
     ]
     unconverged = sum(not res.converged for res in results)
-    if tasks and unconverged / len(tasks) > spec.tolerances.failure_quota:
+    if tasks and unconverged / len(tasks) > spec.failure_quota:
         raise SolverError(
             f"{unconverged} of {len(tasks)} escape-cost solves failed to "
-            f"converge, above the failure quota {spec.tolerances.failure_quota:g}"
+            f"converge, above the failure quota {spec.failure_quota:g}"
         )
     costs = np.zeros((targets.shape[0], len(sources)))
     for (i, k), res in zip(tasks, results):
@@ -741,10 +704,9 @@ def _solve_rates(
         residual = max_balance_residual(rates, costs_closed)
     except ValueError as exc:
         raise SolverError(str(exc)) from None
-    if residual > spec.tolerances.balance:
+    if residual > BALANCE_TOL:
         raise BalanceError(
-            f"max flux balance residual {residual:.3g} exceeds tolerance "
-            f"{spec.tolerances.balance:g}"
+            f"max flux balance residual {residual:.3g} exceeds tolerance {BALANCE_TOL:g}"
         )
 
     point_costs = costs[n_att:]
@@ -777,7 +739,7 @@ def run_rates(spec: ProblemSpec) -> RateReport:
     attractors are found, :class:`SolverError` when attractor search fails
     or too many escape-cost solves do not converge, and
     :class:`BalanceError` when the computed rates do not satisfy flux
-    balance at the spec tolerance.
+    balance within ``BALANCE_TOL``.
     """
     return _solve_rates(spec, np.zeros((0, spec.dimension)))[0]
 

@@ -78,8 +78,10 @@ class SimConfig:
         object.__setattr__(self, "n_values", n_values)
         if not (self.dt > 0) or not math.isfinite(self.dt):
             raise ValueError("dt must be positive and finite")
-        if self.burn_in < 0 or self.horizon <= self.burn_in:
+        if not (0 <= self.burn_in < self.horizon):
             raise ValueError("need 0 <= burn_in < horizon")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValueError("horizon / dt must be a finite step count")
         if self.replicas < 1 or self.stride < 1:
             raise ValueError("replicas and stride must be positive integers")
         init = np.atleast_1d(np.asarray(self.initial, dtype=float))

@@ -88,7 +88,7 @@ def test_marginal_classification():
         return -(y**3)
 
     box = SearchBox(np.array([-1.0]), np.array([1.0]), 5)
-    eqs = find_equilibria(field, box, root_tol=1e-10, margin=1e-6)
+    eqs = find_equilibria(field, box, root_tol=1e-10)
     assert eqs[0].classification == "marginal"
     with pytest.raises(ValueError, match="stable"):
         stable_attractors(eqs)

@@ -197,6 +197,8 @@ def test_linear_command_and_attractor_override(tmp_path):
         {"linear": {"attractor_index": 0, "displacements": [], "horizon": 5.0, "samples": 10}},
         {"simulation": {**SMALL_SIMULATION, "seed": -1}},
         {"simulation": {**SMALL_SIMULATION, "stride": 11_801}},
+        {"simulation": {**SMALL_SIMULATION, "burn_in": float("nan")}},
+        {"simulation": {**SMALL_SIMULATION, "dt": 1e-310}},
     ],
     ids=[
         "eval-points",
@@ -208,6 +210,8 @@ def test_linear_command_and_attractor_override(tmp_path):
         "displacements",
         "negative-seed",
         "stride-past-horizon",
+        "nan-burn-in",
+        "subnormal-dt",
     ],
 )
 def test_malformed_spec_is_exit_2(tmp_path, capsys, edit):

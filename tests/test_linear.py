@@ -64,6 +64,13 @@ def test_scalar_gramian_and_rate():
     assert quadratic_rate(model, r) == pytest.approx(k * 0.81 / s**2, rel=1e-12)
 
 
+def test_gramian_is_solved_once_and_read_only():
+    model = LinearModel(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.eye(2))
+    gram = lyapunov_gramian(model)
+    assert lyapunov_gramian(model) is gram
+    assert not gram.flags.writeable
+
+
 def test_nonnormal_gramian_known_values():
     model = LinearModel(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.eye(2))
     gram = lyapunov_gramian(model)

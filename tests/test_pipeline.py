@@ -63,7 +63,13 @@ def test_parse_round_trip_of_valid_spec():
         lambda d: d["drift"].update(extra=2),
         lambda d: d["box"].update(shape="round"),
         lambda d: d.update(solver={"t_sweep": [1.0], "typo": 3}),
-        lambda d: d.update(tolerances={"root": 1e-9, "unknown": 1}),
+        lambda d: d.update(tolerances={"failure_quota": 0.5, "unknown": 1}),
+        # the solver tolerances are module constants, not spec fields
+        lambda d: d.update(tolerances={"root": 1e-9}),
+        lambda d: d.update(tolerances={"equilibrium": 1e-6}),
+        lambda d: d.update(tolerances={"balance": 1e-9}),
+        lambda d: d.update(tolerances={"margin": 1e-6}),
+        lambda d: d.update(solver={"max_iterations": 2000}),
     ],
 )
 def test_unknown_fields_rejected_everywhere(mutate):
@@ -168,6 +174,10 @@ def test_drift_catalog_evaluation():
     ).build_model()
     xs = np.array([[-1.5], [0.3], [2.0]])
     np.testing.assert_allclose(grad.drift_at(xs), xs - xs**3, atol=1e-14)
+    # stored as the coefficients of -U', the drift equals -polyval(y, U') exactly
+    ys = np.linspace(-3.0, 3.0, 6001)[:, None]
+    dU = np.polynomial.polynomial.polyder([0.0, 0.0, -0.5, 0.0, 0.25])
+    assert np.array_equal(grad.drift_at(ys), -np.polynomial.polynomial.polyval(ys, dU))
 
 
 def test_jump_channels_built_from_spec():
@@ -191,6 +201,18 @@ def test_run_attractors_report():
     assert out["attractors"][0]["classification"] == "stable"
     assert abs(out["attractors"][0]["position"][0]) < 1e-6
     assert out["provenance"]["drift_kind"] == "polynomial"
+
+
+def test_provenance_records_the_solver_constants():
+    prov = run_attractors(parse_problem_spec(ou_spec_dict()))["provenance"]
+    assert prov["max_iterations"] == 2000
+    assert prov["tolerances"] == {
+        "root": 1e-9,
+        "equilibrium": 1e-6,
+        "balance": 1e-9,
+        "margin": 1e-6,
+        "failure_quota": 0.25,
+    }
 
 
 def test_run_attractors_no_equilibria_is_solver_error():

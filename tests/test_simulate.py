@@ -54,6 +54,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         base_config(burn_in=100.0)  # not before the horizon
     with pytest.raises(ValueError):
+        base_config(burn_in=np.nan)
+    with pytest.raises(ValueError):
+        base_config(dt=1e-310)  # horizon / dt overflows to inf steps
+    with pytest.raises(ValueError):
         base_config(replicas=0)
     with pytest.raises(ValueError):
         base_config(stride=0)
