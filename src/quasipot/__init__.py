@@ -3,10 +3,10 @@
 The package is organized around the cost-form (min-plus) calculus of escape
 costs between attractors of the zero-noise flow:
 
-- :mod:`quasipot.maxplus`: cost matrices, fluxes, the balance equations and
-  rate evaluation on a finite attractor set.
-- :mod:`quasipot.trees`: in-tree enumeration and the minimum-arborescence
-  solver that produces the unique balanced stationary rates.
+- :mod:`quasipot.maxplus`: cost matrices, their min-plus closure, the flux
+  balance check and rate evaluation on a finite attractor set.
+- :mod:`quasipot.trees`: in-trees and the minimum-arborescence solver that
+  produces the unique balanced stationary rates.
 - :mod:`quasipot.models`: jump-diffusion model containers.
 - :mod:`quasipot.action`: the path action functional and its minimization,
   giving inter-attractor quasipotentials, and their exact one-dimensional
@@ -22,19 +22,14 @@ __version__ = "0.1.0"
 
 from .maxplus import (
     CostMatrix,
-    Partition,
     StationaryRates,
-    balance_residuals,
-    cost_flux,
     evaluate_rate,
     shortest_path_closure,
 )
 from .trees import (
     InTree,
     TreeCost,
-    enumerate_in_trees,
     min_arborescence,
-    min_in_tree_cost_bruteforce,
     stationary_rates,
 )
 from .models import JumpAtom, LocalModel, Path
@@ -66,17 +61,13 @@ __all__ = [
     "JumpAtom",
     "LinearModel",
     "LocalModel",
-    "Partition",
     "Path",
     "SearchBox",
     "SimConfig",
     "StationaryRates",
     "TreeCost",
     "ValidationReport",
-    "balance_residuals",
-    "cost_flux",
     "empirical_rate",
-    "enumerate_in_trees",
     "escape_profile_limit",
     "evaluate_rate",
     "find_equilibria",
@@ -86,7 +77,6 @@ __all__ = [
     "local_lagrangian",
     "lyapunov_gramian",
     "min_arborescence",
-    "min_in_tree_cost_bruteforce",
     "minimize_action",
     "path_action",
     "quadratic_rate",

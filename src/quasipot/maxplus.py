@@ -12,19 +12,19 @@ The central objects are a matrix of pairwise escape costs between
 attractors, a vector of stationary rates on the attractors, and the balance
 equations coupling them: for every bipartition of the attractor set the
 cheapest flux crossing it one way must equal the cheapest flux crossing it
-back.
+back.  :func:`max_balance_residual` checks all of them at once, as arrays
+indexed by the bitmask of one side of the cut.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Largest attractor set for which the exhaustive balance check is allowed.
+#: Largest attractor set the balance check accepts; its arrays have 2**n entries.
 MAX_BALANCE_SIZE = 20
 
 
@@ -87,17 +87,6 @@ class CostMatrix:
     def cost(self, source: str, target: str) -> float:
         return float(self.entries[self.index(source), self.index(target)])
 
-    def is_closed(self, tol: float = 0.0) -> bool:
-        """Whether every entry already satisfies the triangle inequality."""
-        a = self.entries
-        # Index layout: [i, k, j] -> a[i, k] + a[k, j], minimized over k.
-        two_step = np.min(a[:, :, None] + a[None, :, :], axis=1)
-        # two_step[i, j] = min_k a[i, k] + a[k, j] <= a[i, j] always holds
-        # (take k = i), so closedness is the reverse inequality.  inf <= inf
-        # is true in IEEE terms, which is the wanted behaviour for
-        # unreachable pairs.
-        return bool(np.all(a <= two_step + tol))
-
 
 @dataclass(frozen=True, eq=False)
 class StationaryRates:
@@ -126,24 +115,6 @@ class StationaryRates:
         object.__setattr__(self, "rates", arr)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """An ordered bipartition of the attractor labels."""
-
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        left = tuple(self.left)
-        right = tuple(self.right)
-        if not left or not right:
-            raise ValueError("both sides of a partition must be nonempty")
-        if set(left) & set(right):
-            raise ValueError("partition sides must be disjoint")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-
 def _check_same_labels(rates: StationaryRates, costs: CostMatrix) -> None:
     if rates.labels != costs.labels:
         raise ValueError(
@@ -151,80 +122,49 @@ def _check_same_labels(rates: StationaryRates, costs: CostMatrix) -> None:
         )
 
 
-def cost_flux(
-    rates: StationaryRates,
-    costs: CostMatrix,
-    source: Sequence[str],
-    target: Sequence[str],
-) -> float:
-    """Cheapest escape flux from the ``source`` set into the ``target`` set.
+def max_balance_residual(rates: StationaryRates, costs: CostMatrix) -> float:
+    """Largest flux balance residual over all bipartitions; 0.0 for a singleton set.
 
-    In cost form the flux is ``min_{a in source} (rate(a) +
-    min_{a' in target} I(a, a'))``.  Returns ``inf`` when no source attractor
-    can reach any target attractor with finite combined cost.
+    For a label set ``S`` the flux out of it is ``min_{a in S} (rate(a) +
+    min_{b not in S} I(a, b))``, and the residual of the cut ``(S, S^c)`` is
+    ``|flux(S -> S^c) - flux(S^c -> S)|``.  Two infinite fluxes balance
+    exactly (residual 0): a cut no flux ever crosses is trivially balanced.
+    A finite flux against an infinite one yields an infinite residual.
+
+    Every label set is a bitmask, and both fluxes of all ``2**n`` sets come
+    from one table per label, ``best_a[C] = min_{b in C} (rate(a) + I(a, b))``,
+    built by doubling over the bits.  Each cut appears twice, as ``S`` and as
+    ``S^c`` with its fluxes swapped, which leaves the maximum unchanged.
+    Rounding is monotone, so adding the rate before taking the minimum
+    changes no bit of the result.  Time grows like ``n * 2**n`` and memory
+    like ``2**n``, so sets larger than ``MAX_BALANCE_SIZE`` are refused.
     """
     _check_same_labels(rates, costs)
-    src = [costs.index(lab) for lab in source]
-    tgt = [costs.index(lab) for lab in target]
-    if not src or not tgt:
-        raise ValueError("source and target sets must be nonempty")
-    if set(src) & set(tgt):
-        raise ValueError("source and target sets must be disjoint")
-    block = costs.entries[np.ix_(src, tgt)]
-    per_source = block.min(axis=1)
-    return float(np.min(rates.rates[src] + per_source))
-
-
-def balance_residuals(
-    rates: StationaryRates, costs: CostMatrix
-) -> list[tuple[Partition, float]]:
-    """Residual of the flux balance equation for every bipartition.
-
-    For each of the ``2**(n-1) - 1`` unordered bipartitions ``(S, S^c)`` the
-    residual is ``|flux(S -> S^c) - flux(S^c -> S)|``, with the convention
-    that two infinite fluxes balance exactly (residual 0): a cut no flux ever
-    crosses is trivially balanced.  A finite flux against an infinite one
-    yields an infinite residual.
-
-    The enumeration is exponential, so sets larger than
-    ``MAX_BALANCE_SIZE`` are refused.
-    """
-    _check_same_labels(rates, costs)
-    labels = costs.labels
-    n = len(labels)
-    if n < 2:
-        return []
+    n = costs.size
     if n > MAX_BALANCE_SIZE:
         raise ValueError(
             f"balance check enumerates 2**({n}-1)-1 partitions; "
             f"refusing sets larger than {MAX_BALANCE_SIZE}"
         )
-    out: list[tuple[Partition, float]] = []
-    rest = labels[1:]
-    # Pinning labels[0] to the left side enumerates each unordered
-    # bipartition exactly once.
-    for k in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, k):
-            left = (labels[0],) + combo
-            right = tuple(lab for lab in rest if lab not in combo)
-            if not right:
-                continue
-            fwd = cost_flux(rates, costs, left, right)
-            bwd = cost_flux(rates, costs, right, left)
-            if math.isinf(fwd) and math.isinf(bwd):
-                resid = 0.0
-            else:
-                resid = abs(fwd - bwd)
-            out.append((Partition(left, right), resid))
-    return out
-
-
-def max_balance_residual(rates: StationaryRates, costs: CostMatrix) -> float:
-    """Largest residual over all bipartitions; 0.0 for a singleton set."""
-    residuals = balance_residuals(rates, costs)
-    if not residuals:
-        return 0.0
-    return max(r for _, r in residuals)
+    size = 1 << n
+    fwd = np.full(size, math.inf)  # fwd[S] = flux(S -> S^c)
+    bwd = np.full(size, math.inf)  # bwd[S] = flux(S^c -> S)
+    best = np.empty(size)
+    best[0] = math.inf
+    for a in range(n):
+        step = rates.rates[a] + costs.entries[a]
+        for b in range(n):
+            np.minimum(best[: 1 << b], step[b], out=best[1 << b : 2 << b])
+        # Axis 1 of this view is bit a: index 1 holds the sets that contain a.
+        # best[::-1][S] is best[S^c], since S^c = (size - 1) - S.
+        split = (-1, 2, 1 << a)
+        inside = fwd.reshape(split)[:, 1]
+        np.minimum(inside, best[::-1].reshape(split)[:, 1], out=inside)
+        outside = bwd.reshape(split)[:, 0]
+        np.minimum(outside, best.reshape(split)[:, 0], out=outside)
+    # Equal fluxes, two infinite ones included, leave the residual at 0.
+    diff = np.subtract(fwd, bwd, out=np.zeros(size), where=fwd != bwd)
+    return float(np.abs(diff).max())
 
 
 def evaluate_rate(rates: StationaryRates, costs_to_point: Sequence[float]) -> float:

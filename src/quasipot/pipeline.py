@@ -865,6 +865,8 @@ def run_linear(spec: ProblemSpec, attractor_index: int | None = None) -> dict:
 
     The chosen equilibrium must be classified stable; marginal ones are
     refused because the Gramian does not exist at a neutral linearization.
+    A horizon past the overflow-safe maximum for the drift found there is a
+    :class:`SpecError` that names that maximum.
     """
     if spec.linear is None:
         raise SpecError("linear requires a 'linear' section in the problem spec")
@@ -894,7 +896,10 @@ def run_linear(spec: ProblemSpec, attractor_index: int | None = None) -> dict:
     for r_idx in range(ls.displacements.shape[0]):
         r = ls.displacements[r_idx]
         rate = quadratic_rate(lin, r)
-        path = finite_horizon_path(lin, r, ls.horizon, ls.samples)
+        try:
+            path = finite_horizon_path(lin, r, ls.horizon, ls.samples)
+        except ValueError as exc:
+            raise SpecError(f"linear.horizon: {exc}") from None
         t_grid = path.times
         limit = np.stack(
             [escape_profile_limit(lin, r, float(t)) for t in t_grid]

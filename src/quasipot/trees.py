@@ -3,28 +3,23 @@
 The stationary rate of attractor ``a`` equals the cheapest total cost of an
 in-tree rooted at ``a`` (every other attractor pointing along cost edges
 toward ``a``), minus the cheapest such total over all roots.  This module
-provides an exhaustive enumerator for small sets, used as a testing oracle,
-and a Chu-Liu/Edmonds minimum-arborescence solver for production use.
+finds those totals with a Chu-Liu/Edmonds minimum-arborescence solver; the
+tests check it against exhaustive in-tree enumeration on small sets.
 
 An in-tree rooted at ``a`` in the cost matrix is exactly a minimum spanning
-arborescence rooted at ``a`` in the edge-reversed graph, which is how the
-fast path is implemented.
+arborescence rooted at ``a`` in the edge-reversed graph, which is how
+:func:`min_arborescence` finds it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .maxplus import CostMatrix, StationaryRates
-
-#: Largest attractor set for which exhaustive in-tree enumeration is allowed
-#: (the count grows like ``n**(n-1)`` candidate parent maps).
-MAX_ENUMERATION_SIZE = 7
 
 
 @dataclass(frozen=True)
@@ -81,64 +76,6 @@ def tree_total(costs: CostMatrix, tree: InTree) -> float:
     for child, parent in tree.edges():
         total += costs.cost(child, parent)
     return total
-
-
-def enumerate_in_trees(labels: tuple[str, ...], root: str) -> Iterator[InTree]:
-    """Yield every in-tree on ``labels`` rooted at ``root`` exactly once.
-
-    Trees appear in lexicographic order of their parent map read along the
-    non-root labels in the order given, with parent candidates in label
-    order.  The count is superexponential, so sets larger than
-    ``MAX_ENUMERATION_SIZE`` are refused.
-    """
-    if root not in labels:
-        raise ValueError(f"root {root!r} is not among the labels")
-    if len(set(labels)) != len(labels):
-        raise ValueError("labels must be distinct")
-    if len(labels) > MAX_ENUMERATION_SIZE:
-        raise ValueError(
-            f"refusing to enumerate in-trees on more than "
-            f"{MAX_ENUMERATION_SIZE} labels (got {len(labels)})"
-        )
-    others = [lab for lab in labels if lab != root]
-    if not others:
-        yield InTree(root, {})
-        return
-    for assignment in itertools.product(
-        *([lab for lab in labels if lab != child] for child in others)
-    ):
-        parents = dict(zip(others, assignment))
-        # Keep only acyclic maps: walk each chain to the root.
-        ok = True
-        for start in others:
-            node = start
-            seen = set()
-            while node != root:
-                if node in seen:
-                    ok = False
-                    break
-                seen.add(node)
-                node = parents[node]
-            if not ok:
-                break
-        if ok:
-            yield InTree(root, parents)
-
-
-def min_in_tree_cost_bruteforce(costs: CostMatrix, root: str) -> TreeCost:
-    """Exact minimum in-tree cost by exhaustive enumeration.
-
-    Ties resolve to the lexicographically smallest parent map (the order in
-    which :func:`enumerate_in_trees` yields).  Intended as an oracle for
-    :func:`min_arborescence`; the same size cap applies.
-    """
-    best: TreeCost | None = None
-    for tree in enumerate_in_trees(costs.labels, root):
-        total = tree_total(costs, tree)
-        if best is None or total < best.total:
-            best = TreeCost(tree, total)
-    assert best is not None
-    return best
 
 
 def _find_cycle(parent: dict[int, int], nodes: list[int]) -> list[int] | None:
@@ -228,8 +165,8 @@ def min_arborescence(costs: CostMatrix, root: str) -> TreeCost:
     leaks into the reported cost.  When some label cannot reach the root at
     finite cost the star tree pointing at the root with total ``inf`` is
     returned.  Tie-breaking is deterministic (first minimal incoming edge in
-    matrix scan order) but not necessarily the lexicographic choice of the
-    brute-force oracle.
+    matrix scan order) but not necessarily the lexicographically smallest
+    parent map.
     """
     labels = costs.labels
     n = len(labels)

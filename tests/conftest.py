@@ -1,7 +1,25 @@
+"""Shared test helpers and the brute-force reference oracles.
+
+The oracles are the direct loop forms of what ``src/`` computes faster:
+``max_balance_residual_loop`` enumerates every bipartition and prices both
+fluxes with ``cost_flux``, and ``min_in_tree_cost_bruteforce`` enumerates
+every in-tree.  They stay here, out of the package, as the references for
+``maxplus.max_balance_residual`` and ``trees.min_arborescence``.
+"""
+
+import itertools
+import math
+from typing import Iterator, Sequence
+
 import numpy as np
 import pytest
 
-from quasipot.maxplus import CostMatrix
+from quasipot.maxplus import CostMatrix, StationaryRates
+from quasipot.trees import InTree, TreeCost, tree_total
+
+#: Largest attractor set for which exhaustive in-tree enumeration is allowed
+#: (the count grows like ``n**(n-1)`` candidate parent maps).
+MAX_ENUMERATION_SIZE = 7
 
 
 def make_cost_matrix(rng: np.random.Generator, size: int, inf_prob: float = 0.0) -> CostMatrix:
@@ -26,3 +44,102 @@ def make_cost_matrix(rng: np.random.Generator, size: int, inf_prob: float = 0.0)
 @pytest.fixture
 def cost_factory():
     return make_cost_matrix
+
+
+def is_closed(costs: CostMatrix, tol: float = 0.0) -> bool:
+    """Whether every entry already satisfies the triangle inequality."""
+    a = costs.entries
+    # Index layout: [i, k, j] -> a[i, k] + a[k, j], minimized over k.
+    two_step = np.min(a[:, :, None] + a[None, :, :], axis=1)
+    # two_step[i, j] <= a[i, j] always holds (take k = i), so closedness is
+    # the reverse inequality; inf <= inf holds for unreachable pairs.
+    return bool(np.all(a <= two_step + tol))
+
+
+def cost_flux(
+    rates: StationaryRates,
+    costs: CostMatrix,
+    source: Sequence[str],
+    target: Sequence[str],
+) -> float:
+    """Cheapest escape flux ``min_{a in source} (rate(a) + min_{b in target} I(a, b))``."""
+    src = [costs.index(lab) for lab in source]
+    tgt = [costs.index(lab) for lab in target]
+    if not src or not tgt:
+        raise ValueError("source and target sets must be nonempty")
+    if set(src) & set(tgt):
+        raise ValueError("source and target sets must be disjoint")
+    block = costs.entries[np.ix_(src, tgt)]
+    per_source = block.min(axis=1)
+    return float(np.min(rates.rates[src] + per_source))
+
+
+def max_balance_residual_loop(rates: StationaryRates, costs: CostMatrix) -> float:
+    """Largest flux balance residual, one bipartition at a time.
+
+    Pinning ``labels[0]`` to the left side visits each of the
+    ``2**(n-1) - 1`` unordered bipartitions exactly once.  Two infinite
+    fluxes balance (residual 0).
+    """
+    labels = costs.labels
+    rest = labels[1:]
+    worst = 0.0
+    for k in range(len(rest)):
+        for combo in itertools.combinations(rest, k):
+            left = (labels[0],) + combo
+            right = tuple(lab for lab in rest if lab not in combo)
+            fwd = cost_flux(rates, costs, left, right)
+            bwd = cost_flux(rates, costs, right, left)
+            resid = 0.0 if math.isinf(fwd) and math.isinf(bwd) else abs(fwd - bwd)
+            worst = max(worst, resid)
+    return worst
+
+
+def enumerate_in_trees(labels: tuple[str, ...], root: str) -> Iterator[InTree]:
+    """Yield every in-tree on ``labels`` rooted at ``root`` exactly once.
+
+    Trees appear in lexicographic order of their parent map read along the
+    non-root labels in the order given.  Sets larger than
+    ``MAX_ENUMERATION_SIZE`` are refused.
+    """
+    if root not in labels:
+        raise ValueError(f"root {root!r} is not among the labels")
+    if len(labels) > MAX_ENUMERATION_SIZE:
+        raise ValueError(
+            f"refusing to enumerate in-trees on more than "
+            f"{MAX_ENUMERATION_SIZE} labels (got {len(labels)})"
+        )
+    others = [lab for lab in labels if lab != root]
+    for assignment in itertools.product(
+        *([lab for lab in labels if lab != child] for child in others)
+    ):
+        parents = dict(zip(others, assignment))
+        # Keep only acyclic maps: walk each chain to the root.
+        ok = True
+        for start in others:
+            node = start
+            seen = set()
+            while node != root:
+                if node in seen:
+                    ok = False
+                    break
+                seen.add(node)
+                node = parents[node]
+            if not ok:
+                break
+        if ok:
+            yield InTree(root, parents)
+
+
+def min_in_tree_cost_bruteforce(costs: CostMatrix, root: str) -> TreeCost:
+    """Exact minimum in-tree cost by exhaustive enumeration.
+
+    Ties resolve to the first tree :func:`enumerate_in_trees` yields.
+    """
+    best: TreeCost | None = None
+    for tree in enumerate_in_trees(costs.labels, root):
+        total = tree_total(costs, tree)
+        if best is None or total < best.total:
+            best = TreeCost(tree, total)
+    assert best is not None
+    return best

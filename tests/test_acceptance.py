@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_cost_matrix
+from conftest import make_cost_matrix, min_in_tree_cost_bruteforce
 from quasipot import cli
 from quasipot.action import local_lagrangian, quasipotential
 from quasipot.attractors import SearchBox, find_equilibria, stable_attractors
@@ -34,7 +34,7 @@ from quasipot.maxplus import (
 )
 from quasipot.models import JumpAtom, LocalModel
 from quasipot.simulate import SimConfig, empirical_rate, simulate, validation_report
-from quasipot.trees import min_arborescence, min_in_tree_cost_bruteforce, stationary_rates
+from quasipot.trees import min_arborescence, stationary_rates
 
 
 @pytest.fixture

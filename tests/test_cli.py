@@ -4,6 +4,7 @@ import json
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quasipot import cli
@@ -174,6 +175,36 @@ def test_linear_command_and_attractor_override(tmp_path):
     assert report["gramian"][0][0] == pytest.approx(0.75)
     # out-of-range override is a spec problem
     assert cli.main(["linear", "--spec", spec, "--out", str(out), "--attractor", "7"]) == 2
+
+
+def test_overlong_linear_horizon_is_exit_2(tmp_path, capsys):
+    payload = json.loads((SPECS / "double_well.json").read_text())
+    payload["linear"]["horizon"] = 1000.0
+    spec = write_spec(tmp_path, payload)
+    assert cli.main(["linear", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ")
+    assert "overflow-safe maximum 350" in err
+
+
+def test_too_many_attractors_is_exit_2_before_solving(tmp_path, capsys, monkeypatch):
+    import quasipot.pipeline as pipeline
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("escape cost solved before the attractor count was checked")
+
+    wells = [
+        pipeline.Equilibrium(np.array([0.1 * k]), np.array([[-1.0]]), np.array([-1.0]), "stable")
+        for k in range(pipeline.MAX_BALANCE_SIZE + 1)
+    ]
+    monkeypatch.setattr(pipeline, "find_equilibria", lambda *a, **k: wells)
+    monkeypatch.setattr(pipeline, "quasipotential", no_solve)
+    spec = write_spec(tmp_path, fast_ou_spec())
+    assert cli.main(["rates", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "spec error: found 21 stable attractors; rates are supported for at most 20, "
+        "the largest set the balance check accepts\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 
 The worked 3x3 example used throughout was derived by hand: enumerating all
 three in-trees per root gives totals (3, 4, 5), hence rates (0, 1, 2), and
-every one of the three bipartition fluxes balances exactly.
+every one of the three bipartition fluxes balances exactly.  The array form
+of the balance check is compared bit for bit with the per-bipartition loop
+in ``conftest``.
 """
 
 import numpy as np
@@ -10,17 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cost_flux, is_closed, make_cost_matrix, max_balance_residual_loop
 from quasipot.maxplus import (
     MAX_BALANCE_SIZE,
     CostMatrix,
-    Partition,
     StationaryRates,
-    balance_residuals,
-    cost_flux,
     evaluate_rate,
     max_balance_residual,
     shortest_path_closure,
 )
+from quasipot.pipeline import BALANCE_TOL
+from quasipot.trees import stationary_rates
 
 WORKED = np.array([[0.0, 2.0, 5.0], [1.0, 0.0, 3.0], [4.0, 2.0, 0.0]])
 WORKED_CLOSED = np.array([[0.0, 2.0, 5.0], [1.0, 0.0, 3.0], [3.0, 2.0, 0.0]])
@@ -67,7 +69,7 @@ def test_entries_are_read_only():
 def test_closure_worked_example():
     closed = shortest_path_closure(CostMatrix(LABELS, WORKED))
     assert np.array_equal(closed.entries, WORKED_CLOSED)
-    assert closed.is_closed()
+    assert is_closed(closed)
 
 
 def test_closure_with_unreachable_entries():
@@ -89,23 +91,10 @@ def test_balance_detects_wrong_rates():
     assert max_balance_residual(rates, closed) > 0.4
 
 
-def test_balance_partition_count():
-    rng = np.random.default_rng(3)
-    entries = rng.uniform(0.1, 1.0, size=(4, 4))
-    np.fill_diagonal(entries, 0.0)
-    costs = CostMatrix(tuple("abcd"), entries)
-    rates = StationaryRates(tuple("abcd"), np.array([0.0, 0.2, 0.4, 0.1]))
-    pairs = balance_residuals(rates, costs)
-    # 2**(4-1) - 1 unordered bipartitions of a 4-element set
-    assert len(pairs) == 7
-    assert all(isinstance(p, Partition) for p, _ in pairs)
-
-
 def test_balance_singleton_is_trivial():
     rates = StationaryRates(("only",), np.array([0.0]))
     costs = CostMatrix(("only",), np.zeros((1, 1)))
     assert max_balance_residual(rates, costs) == 0.0
-    assert balance_residuals(rates, costs) == []
 
 
 def test_balance_size_cap():
@@ -115,7 +104,7 @@ def test_balance_size_cap():
     np.fill_diagonal(entries, 0.0)
     rates = StationaryRates(labels, np.zeros(n))
     with pytest.raises(ValueError, match="refusing"):
-        balance_residuals(rates, CostMatrix(labels, entries))
+        max_balance_residual(rates, CostMatrix(labels, entries))
 
 
 def test_infinite_against_infinite_flux_is_balanced():
@@ -143,11 +132,32 @@ def test_cost_flux_block_minimum():
         cost_flux(rates, costs, ("a0", "a1"), ("a1",))
 
 
-def test_partition_validation():
-    with pytest.raises(ValueError, match="nonempty"):
-        Partition((), ("a",))
-    with pytest.raises(ValueError, match="disjoint"):
-        Partition(("a",), ("a", "b"))
+def test_balance_matches_loop_oracle():
+    # seeded closed matrices with unreachable pairs, at the computed rates
+    # and at perturbed ones: the array form must equal the loop bit for bit
+    rng = np.random.default_rng(11)
+    checked = 0
+    for trial in range(66):
+        n = 2 + trial % 11
+        costs = shortest_path_closure(make_cost_matrix(rng, n, inf_prob=(0.0, 0.3, 0.6)[trial % 3]))
+        try:
+            rates = stationary_rates(costs)
+        except ValueError:
+            continue
+        perturbed = rates.rates + rng.uniform(-0.05, 0.05, size=n)
+        for vec in (rates.rates, perturbed - perturbed.min()):
+            candidate = StationaryRates(costs.labels, vec)
+            assert max_balance_residual(candidate, costs) == max_balance_residual_loop(
+                candidate, costs
+            )
+            checked += 1
+    assert checked >= 100
+
+
+def test_balance_at_size_cap():
+    rng = np.random.default_rng(20)
+    costs = shortest_path_closure(make_cost_matrix(rng, MAX_BALANCE_SIZE, inf_prob=0.3))
+    assert max_balance_residual(stationary_rates(costs), costs) <= BALANCE_TOL
 
 
 def test_rates_min_must_be_zero():
@@ -192,7 +202,7 @@ def test_closure_is_idempotent_and_dominated(costs):
     assert np.array_equal(finite, np.isfinite(again.entries))
     assert np.allclose(closed.entries[finite], again.entries[finite], rtol=1e-12, atol=0.0)
     assert np.all(closed.entries <= costs.entries)
-    assert closed.is_closed(tol=1e-9)
+    assert is_closed(closed, tol=1e-9)
 
 
 @given(small_costs())

@@ -1,4 +1,4 @@
-"""Minimum in-trees: exhaustive oracle against Chu-Liu/Edmonds.
+"""Minimum in-trees: the exhaustive oracle in ``conftest`` against Chu-Liu/Edmonds.
 
 The 3x3 worked example matches the one in test_maxplus: in-tree totals
 (3, 4, 5) on the closed matrix, hence stationary rates (0, 1, 2).
@@ -9,17 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cost_matrix
-from quasipot.maxplus import CostMatrix, max_balance_residual, shortest_path_closure
-from quasipot.trees import (
+from conftest import (
     MAX_ENUMERATION_SIZE,
-    InTree,
     enumerate_in_trees,
-    min_arborescence,
+    make_cost_matrix,
     min_in_tree_cost_bruteforce,
-    stationary_rates,
-    tree_total,
 )
+from quasipot.maxplus import CostMatrix, max_balance_residual, shortest_path_closure
+from quasipot.trees import InTree, min_arborescence, stationary_rates, tree_total
 
 WORKED_CLOSED = CostMatrix(
     ("a0", "a1", "a2"),
