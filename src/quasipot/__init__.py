@@ -32,7 +32,7 @@ from .trees import (
     min_arborescence,
     stationary_rates,
 )
-from .models import JumpAtom, LocalModel, Path
+from .models import JumpAtom, LinearDrift, LocalModel, Path, PolynomialDrift
 from .action import (
     ActionValue,
     local_lagrangian,
@@ -49,7 +49,7 @@ from .linear import (
     lyapunov_gramian,
     quadratic_rate,
 )
-from .attractors import Equilibrium, SearchBox, find_equilibria, jacobian_fd, stable_attractors
+from .attractors import Equilibrium, SearchBox, find_equilibria, stable_attractors
 from .simulate import EmpiricalRate, SimConfig, ValidationReport, empirical_rate, simulate, validation_report
 
 __all__ = [
@@ -59,9 +59,11 @@ __all__ = [
     "Equilibrium",
     "InTree",
     "JumpAtom",
+    "LinearDrift",
     "LinearModel",
     "LocalModel",
     "Path",
+    "PolynomialDrift",
     "SearchBox",
     "SimConfig",
     "StationaryRates",
@@ -73,7 +75,6 @@ __all__ = [
     "find_equilibria",
     "finite_horizon_gramian",
     "finite_horizon_path",
-    "jacobian_fd",
     "local_lagrangian",
     "lyapunov_gramian",
     "min_arborescence",

@@ -49,9 +49,7 @@ MAX_ITERATIONS = 2000
 # Dual Newton solve: iteration cap, and the max-norm gradient that converges a row.
 _DUAL_MAX_ITER = 50
 _DUAL_GRAD_TOL = 1e-10
-# minimize_action: central-difference step of dL/dy, max-norm gradient
-# tolerance, and the stagnation test (see its docstring).
-_FD_STEP = 1e-6
+# minimize_action: max-norm gradient tolerance and the stagnation test (see its docstring).
 _MINIMIZE_GRAD_TOL = 1e-6
 _STAGNATION_TOL = 1e-8
 _STAGNATION_WINDOW = 100
@@ -260,23 +258,22 @@ def _value_and_gradient(
 
     One inner dual solve per call: at the maximizer ``l*`` the dual is
     stationary in ``l``, so derivatives pass through it (envelope argument).
-    ``dL/dv = l*`` exactly, and ``dL/dy`` needs only finite differences of
-    the model fields with ``l*`` held fixed.  Interior node ``k`` enters
+    ``dL/dv = l*`` exactly, and at fixed ``l*`` the drift's Jacobian and the
+    jump matrices give ``dL/dy = -J_b^T l* - sum_j nu_j expm1(l* . f_j) M_j^T l*``
+    (the constant diffusion adds no term).  Interior node ``k`` enters
     segment ``k - 1`` through its right endpoint and segment ``k`` through
     its left one, each contributing half the midpoint sensitivity plus the
     chord-velocity term.
     """
-    n_seg, d = points.shape[0] - 1, points.shape[1]
     y, v = _chords(points, dt)
-    val, lam, _, _ = _dual_batch(*_dual_inputs(model, y, v))
+    w, cov, nu, f = _dual_inputs(model, y, v)
+    val, lam, _, _ = _dual_batch(w, cov, nu, f)
 
-    dldy = np.empty((n_seg, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = _FD_STEP
-        up = _dual_value(lam, *_dual_inputs(model, y + e, v))
-        down = _dual_value(lam, *_dual_inputs(model, y - e, v))
-        dldy[:, i] = (up - down) / (2.0 * _FD_STEP)
+    dldy = -np.einsum("mde,md->me", model.drift.jacobian(y), lam)
+    if model.jump_matrices.any():
+        with np.errstate(over="ignore"):
+            weight = nu * np.expm1(np.einsum("mjd,md->mj", f, lam))
+        dldy -= np.einsum("mj,jde,md->me", weight, model.jump_matrices, lam)
 
     grad = np.zeros_like(points)
     grad[1:-1] = 0.5 * dt * (dldy[:-1] + dldy[1:]) + (lam[:-1] - lam[1:])

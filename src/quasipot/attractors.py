@@ -1,17 +1,19 @@
 """Equilibria of the zero-noise drift: search, classification, labeling.
 
 Equilibria are located by Newton iterations seeded from a regular grid over
-a user-supplied box, deduplicated, classified by the eigenvalues of a
-finite-difference Jacobian, and sorted lexicographically by position so
-that labels are reproducible across runs.
+a user-supplied box, deduplicated, classified by the eigenvalues of the
+drift's exact Jacobian, and sorted lexicographically by position so that
+labels are reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .models import Drift
 
 #: Eigenvalue real parts within this margin of zero make an equilibrium
 #: "marginal": the linearization is too close to neutral to classify.
@@ -100,23 +102,6 @@ class Equilibrium:
         object.__setattr__(self, "eigenvalues", eig)
 
 
-def jacobian_fd(field: Callable[[np.ndarray], np.ndarray], point: Sequence[float], step: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of a batched vector field at one point."""
-    x = np.asarray(point, dtype=float)
-    d = x.shape[0]
-    probes = np.empty((2 * d, d))
-    for i in range(d):
-        probes[2 * i] = x
-        probes[2 * i, i] += step
-        probes[2 * i + 1] = x
-        probes[2 * i + 1, i] -= step
-    vals = np.asarray(field(probes), dtype=float)
-    jac = np.empty((d, d))
-    for i in range(d):
-        jac[:, i] = (vals[2 * i] - vals[2 * i + 1]) / (2.0 * step)
-    return jac
-
-
 def _classify(eigenvalues: np.ndarray) -> str:
     real = eigenvalues.real
     if (np.abs(real) <= CLASSIFICATION_MARGIN).any():
@@ -126,45 +111,35 @@ def _classify(eigenvalues: np.ndarray) -> str:
     return "unstable"
 
 
-def _newton(
-    field: Callable[[np.ndarray], np.ndarray],
-    seed: np.ndarray,
-    root_tol: float,
-    max_iter: int = 60,
-) -> np.ndarray | None:
-    """Damped Newton for one seed; None when it fails to converge."""
+def _newton(drift: Drift, seed: np.ndarray, root_tol: float) -> np.ndarray | None:
+    """Damped Newton for one seed; None when it fails to reach ``root_tol``.
+
+    Steps continue past ``root_tol``, within 60 iterations, until the
+    residual is 0 or no full or damped step lowers it strictly: an accepted
+    root sits at the rounding floor of the drift, not just inside the tolerance.
+    """
     x = seed.astype(float).copy()
-    fx = np.asarray(field(x[None, :]), dtype=float)[0]
-    for _ in range(max_iter):
-        res = np.abs(fx).max()
-        if res <= root_tol:
-            return x
-        jac = jacobian_fd(field, x)
+    fx = drift(x[None, :])[0]
+    res = np.abs(fx).max()
+    for _ in range(60):
+        if res == 0.0:
+            break
         try:
-            step = np.linalg.solve(jac, fx)
+            step = np.linalg.solve(drift.jacobian(x[None, :])[0], fx)
         except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        while t >= 1e-4:
+            break
+        for t in 0.5 ** np.arange(14):  # damped down to 2^-13, the last halving above 1e-4
             x_new = x - t * step
-            f_new = np.asarray(field(x_new[None, :]), dtype=float)[0]
-            if not np.isfinite(f_new).all():
-                t *= 0.5
-                continue
+            f_new = drift(x_new[None, :])[0]
             if np.abs(f_new).max() < res:
-                x, fx = x_new, f_new
+                x, fx, res = x_new, f_new, np.abs(f_new).max()
                 break
-            t *= 0.5
         else:
-            return None
-    return x if np.abs(fx).max() <= root_tol else None
+            break
+    return x if res <= root_tol else None
 
 
-def find_equilibria(
-    field: Callable[[np.ndarray], np.ndarray],
-    box: SearchBox,
-    root_tol: float = ROOT_TOL,
-) -> list[Equilibrium]:
+def find_equilibria(drift: Drift, box: SearchBox, root_tol: float = ROOT_TOL) -> list[Equilibrium]:
     """All drift zeros inside the box found from grid-seeded Newton runs.
 
     Roots closer than ``10 * root_tol`` are treated as duplicates (first
@@ -179,7 +154,7 @@ def find_equilibria(
     roots: list[np.ndarray] = []
     dedup = 10.0 * root_tol
     for seed in box.seeds():
-        x = _newton(field, seed, root_tol)
+        x = _newton(drift, seed, root_tol)
         if x is None or not box.contains(x):
             continue
         if any(np.abs(x - r).max() <= dedup for r in roots):
@@ -188,7 +163,7 @@ def find_equilibria(
     roots.sort(key=lambda r: tuple(r))
     out = []
     for x in roots:
-        jac = jacobian_fd(field, x)
+        jac = drift.jacobian(x[None, :])[0]
         eig = np.linalg.eigvals(jac)
         out.append(Equilibrium(x, jac, np.sort_complex(eig), _classify(eig)))
     return out

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .models import Path
@@ -133,21 +132,13 @@ def quadratic_rate(model: LinearModel, displacement) -> float:
 def finite_horizon_gramian(model: LinearModel, horizon: float) -> np.ndarray:
     """Truncated Gramian ``G_T = int_0^T e^{Db s} c e^{Db^T s} ds``.
 
-    Computed by adaptive quadrature with absolute and relative tolerance
-    1e-10; the integrand decays, so no overflow protection is needed.
+    Computed by the exact identity of :func:`_gramian_interval` from the
+    Lyapunov Gramian; the exponential decays, so no overflow protection is
+    needed.
     """
     if not (horizon > 0) or not math.isfinite(horizon):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    db = model.drift_matrix
-    c = model.covariance
-
-    def integrand(s: float) -> np.ndarray:
-        e = scipy.linalg.expm(db * s)
-        return e @ c @ e.T
-
-    out, _err = scipy.integrate.quad_vec(
-        integrand, 0.0, horizon, epsabs=1e-10, epsrel=1e-10
-    )
+    out = _gramian_interval(model, lyapunov_gramian(model), horizon)
     return 0.5 * (out + out.T)
 
 

@@ -3,7 +3,8 @@
 A model is a drift field ``b``, a constant ``(d, m)`` diffusion matrix
 ``sigma`` and a finite family of jump channels, each with a constant
 arrival rate and an affine jump vector ``f_j(y) = a_j + M_j y``.  The drift
-must accept batched input: an array of shape ``(..., d)`` maps to ``(..., d)``.
+is a :class:`LinearDrift` or :class:`PolynomialDrift`: batched, ``(..., d)``
+to ``(..., d)``, with its exact ``jacobian``, ``(..., d)`` to ``(..., d, d)``.
 
 The local covariance ``c(y) = sigma sigma^T + sum_j nu_j f_j f_j^T`` governs
 nondegeneracy: every routine that inverts it checks positive definiteness
@@ -13,11 +14,62 @@ first and raises a clear error instead of propagating a numerical one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-Field = Callable[[np.ndarray], np.ndarray]
+
+@dataclass(frozen=True, eq=False)
+class LinearDrift:
+    """Linear drift ``b(y) = matrix @ y``, whose Jacobian is ``matrix`` everywhere.
+
+    The square matrix is stored read-only.
+    """
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        mat = np.array(self.matrix, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"drift matrix must be square, got shape {mat.shape}")
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return np.asarray(y, dtype=float) @ self.matrix.T
+
+    def jacobian(self, y: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.matrix, np.shape(y)[:-1] + self.matrix.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class PolynomialDrift:
+    """One-dimensional drift ``b(y) = sum_k coefficients[k] y^k``.
+
+    Coefficients are in ascending order.  They and the derivative's
+    coefficients, computed once, are stored read-only.
+    """
+
+    coefficients: np.ndarray
+    _derivative: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        coeffs = np.array(self.coefficients, dtype=float)
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise ValueError(f"coefficients must be a nonempty vector, got shape {coeffs.shape}")
+        deriv = P.polyder(coeffs)
+        for name, arr in (("coefficients", coeffs), ("_derivative", deriv)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        return P.polyval(y[..., 0], self.coefficients)[..., None]
+
+    def jacobian(self, y: np.ndarray) -> np.ndarray:
+        return P.polyval(np.asarray(y, dtype=float)[..., 0], self._derivative)[..., None, None]
+
+
+Drift = LinearDrift | PolynomialDrift
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +104,8 @@ class JumpAtom:
 class LocalModel:
     """Jump diffusion ``dX = b dt + n^{-1/2} sigma dW + jump noise``.
 
-    ``drift`` maps ``(..., d) -> (..., d)``.  ``diffusion`` is a constant
-    ``(d, m)`` matrix; it is stored read-only together with ``sigma sigma^T``.
+    ``drift`` maps ``(..., d) -> (..., d)`` and has a ``jacobian``; ``diffusion``
+    is a constant ``(d, m)`` matrix, stored read-only with ``sigma sigma^T``.
     Jump channels fire at rate ``n * nu_j`` with increments ``f_j(X) / n``,
     so drift, diffusion and jumps all contribute at the same exponential
     order as the scale parameter ``n`` grows.  The channels' rates ``(J,)``,
@@ -61,17 +113,19 @@ class LocalModel:
     """
 
     dim: int
-    drift: Field
+    drift: Drift
     diffusion: np.ndarray
     jumps: tuple[JumpAtom, ...] = ()
     _noise_cov: np.ndarray = field(init=False, repr=False, compare=False)
     jump_rates: np.ndarray = field(init=False, repr=False)
     _jump_vectors: np.ndarray = field(init=False, repr=False)
-    _jump_matrices: np.ndarray = field(init=False, repr=False)
+    jump_matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
+        if not callable(getattr(self.drift, "jacobian", None)):
+            raise ValueError("drift must carry its Jacobian, as LinearDrift and PolynomialDrift do")
         if callable(self.diffusion):
             raise ValueError("diffusion must be a constant (d, m) matrix, not a callable")
         sig = np.array(self.diffusion, dtype=float)
@@ -87,7 +141,7 @@ class LocalModel:
             "_noise_cov": sig @ sig.T,
             "jump_rates": np.array([atom.rate for atom in jumps], dtype=float),
             "_jump_vectors": np.array([atom.vector for atom in jumps]).reshape(j, d),
-            "_jump_matrices": np.array([atom.matrix for atom in jumps]).reshape(j, d, d),
+            "jump_matrices": np.array([atom.matrix for atom in jumps]).reshape(j, d, d),
         }
         for name, arr in stored.items():
             arr.flags.writeable = False
@@ -112,7 +166,7 @@ class LocalModel:
         y = np.asarray(y, dtype=float)
         j, d = self._jump_vectors.shape
         # one product for all channels: bit-identical to ``a_j + y @ M_j.T`` per channel, unlike einsum
-        maps = y @ self._jump_matrices.reshape(j * d, d).T
+        maps = y @ self.jump_matrices.reshape(j * d, d).T
         return self._jump_vectors + maps.reshape(y.shape[:-1] + (j, d))
 
     def noise_covariance(self, y: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .maxplus import (
     max_balance_residual,
     shortest_path_closure,
 )
-from .models import JumpAtom, LocalModel
+from .models import JumpAtom, LinearDrift, LocalModel, PolynomialDrift
 from .simulate import (
     EmpiricalRate,
     SimConfig,
@@ -194,7 +194,7 @@ class LinearSpec:
 class ProblemSpec:
     dimension: int
     drift_kind: str
-    drift_params: dict
+    drift: LinearDrift | PolynomialDrift
     diffusion: np.ndarray
     jumps: tuple[JumpAtom, ...]
     box: SearchBox
@@ -205,27 +205,7 @@ class ProblemSpec:
     linear: LinearSpec | None
 
     def build_model(self) -> LocalModel:
-        drift = _drift_field(self.drift_kind, self.drift_params, self.dimension)
-        return LocalModel(self.dimension, drift, self.diffusion, self.jumps)
-
-
-def _drift_field(kind: str, params: dict, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    if kind == "linear":
-        mat = params["matrix"]
-
-        def linear(y: np.ndarray) -> np.ndarray:
-            return np.asarray(y, dtype=float) @ mat.T
-
-        return linear
-    if kind in ("polynomial", "gradient_polynomial"):
-        coeffs = params["coefficients"]
-
-        def poly(y: np.ndarray) -> np.ndarray:
-            y = np.asarray(y, dtype=float)
-            return np.polynomial.polynomial.polyval(y[..., 0], coeffs)[..., None]
-
-        return poly
-    raise SpecError(f"unknown drift kind {kind!r}")
+        return LocalModel(self.dimension, self.drift, self.diffusion, self.jumps)
 
 
 def parse_problem_spec(raw: dict) -> ProblemSpec:
@@ -253,22 +233,22 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
     if dim < 1:
         raise SpecError(f"dimension must be positive, got {dim}")
 
-    drift = _require_mapping(top["drift"], "drift")
-    kind = drift.get("kind")
+    drift_raw = _require_mapping(top["drift"], "drift")
+    kind = drift_raw.get("kind")
     if kind == "linear":
-        _check_fields(drift, "drift", required=["kind", "matrix"])
-        params = {"matrix": _as_matrix(drift["matrix"], dim, dim, "drift.matrix")}
+        _check_fields(drift_raw, "drift", required=["kind", "matrix"])
+        drift = LinearDrift(_as_matrix(drift_raw["matrix"], dim, dim, "drift.matrix"))
     elif kind in ("polynomial", "gradient_polynomial"):
-        _check_fields(drift, "drift", required=["kind", "coefficients"])
+        _check_fields(drift_raw, "drift", required=["kind", "coefficients"])
         if dim != 1:
             raise SpecError(f"drift kind {kind!r} requires dimension 1, got {dim}")
-        coeffs = _as_array(drift["coefficients"], "drift.coefficients")
+        coeffs = _as_array(drift_raw["coefficients"], "drift.coefficients")
         if coeffs.ndim != 1 or coeffs.size < 2 or not np.isfinite(coeffs).all():
             raise SpecError("drift.coefficients must be a finite vector with at least 2 entries")
         if kind == "gradient_polynomial":
             # b = -U' for the polynomial potential U given by its coefficients.
             coeffs = -np.polynomial.polynomial.polyder(coeffs)
-        params = {"coefficients": coeffs}
+        drift = PolynomialDrift(coeffs)
     else:
         raise SpecError(f"unknown drift kind {kind!r}")
 
@@ -410,7 +390,7 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
     return ProblemSpec(
         dimension=dim,
         drift_kind=kind,
-        drift_params=params,
+        drift=drift,
         diffusion=diffusion,
         jumps=tuple(jumps),
         box=box,
@@ -527,7 +507,7 @@ def _provenance(spec: ProblemSpec) -> dict:
 
 
 def _find_attractors(spec: ProblemSpec, model: LocalModel) -> tuple[list[Equilibrium], list[Equilibrium]]:
-    equilibria = find_equilibria(model.drift_at, spec.box)
+    equilibria = find_equilibria(model.drift, spec.box)
     if not equilibria:
         raise SolverError("no equilibria found in the search box")
     try:

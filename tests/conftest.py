@@ -1,5 +1,9 @@
 """Shared test helpers and the brute-force reference oracles.
 
+``AnalyticDrift`` pairs a test's drift function with its analytic Jacobian,
+for fields that are neither linear nor one-dimensional polynomials, or that
+must keep one exact floating-point expression.
+
 The oracles are the direct loop forms of what ``src/`` computes faster:
 ``max_balance_residual_loop`` enumerates every bipartition and prices both
 fluxes with ``cost_flux``, and ``min_in_tree_cost_bruteforce`` enumerates
@@ -9,13 +13,25 @@ every in-tree.  They stay here, out of the package, as the references for
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pytest
 
 from quasipot.maxplus import CostMatrix, StationaryRates
 from quasipot.trees import InTree, TreeCost, tree_total
+
+@dataclass(frozen=True)
+class AnalyticDrift:
+    """A batched drift ``(..., d) -> (..., d)`` with its Jacobian ``(..., d, d)``."""
+
+    field: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return self.field(y)
+
 
 #: Largest attractor set for which exhaustive in-tree enumeration is allowed
 #: (the count grows like ``n**(n-1)`` candidate parent maps).
@@ -95,12 +111,11 @@ def max_balance_residual_loop(rates: StationaryRates, costs: CostMatrix) -> floa
     return worst
 
 
-def enumerate_in_trees(labels: tuple[str, ...], root: str) -> Iterator[InTree]:
-    """Yield every in-tree on ``labels`` rooted at ``root`` exactly once.
+def _parent_maps(labels: tuple[str, ...], root: str) -> tuple[list[int], Iterator[tuple[int, ...]]]:
+    """The non-root indices, and every parent map on them in lexicographic order.
 
-    Trees appear in lexicographic order of their parent map read along the
-    non-root labels in the order given.  Sets larger than
-    ``MAX_ENUMERATION_SIZE`` are refused.
+    Entry ``k`` of a map is the parent index of ``children[k]``; maps with
+    cycles are included.
     """
     if root not in labels:
         raise ValueError(f"root {root!r} is not among the labels")
@@ -109,37 +124,59 @@ def enumerate_in_trees(labels: tuple[str, ...], root: str) -> Iterator[InTree]:
             f"refusing to enumerate in-trees on more than "
             f"{MAX_ENUMERATION_SIZE} labels (got {len(labels)})"
         )
-    others = [lab for lab in labels if lab != root]
-    for assignment in itertools.product(
-        *([lab for lab in labels if lab != child] for child in others)
-    ):
-        parents = dict(zip(others, assignment))
-        # Keep only acyclic maps: walk each chain to the root.
-        ok = True
-        for start in others:
-            node = start
-            seen = set()
-            while node != root:
-                if node in seen:
-                    ok = False
-                    break
-                seen.add(node)
-                node = parents[node]
-            if not ok:
+    n = len(labels)
+    children = [c for c, lab in enumerate(labels) if lab != root]
+    return children, itertools.product(*([p for p in range(n) if p != c] for c in children))
+
+
+def _is_in_tree(children: list[int], parents: tuple[int, ...], root: int) -> bool:
+    """Whether every chain of ``children[k] -> parents[k]`` reaches ``root``."""
+    parent = dict(zip(children, parents))
+    for start in children:
+        node = start
+        for _ in range(len(children)):
+            if node == root:
                 break
-        if ok:
-            yield InTree(root, parents)
+            node = parent[node]
+        if node != root:
+            return False
+    return True
+
+
+def enumerate_in_trees(labels: tuple[str, ...], root: str) -> Iterator[InTree]:
+    """Yield every in-tree on ``labels`` rooted at ``root`` exactly once.
+
+    Trees appear in lexicographic order of their parent map read along the
+    non-root labels in the order given.  Sets larger than
+    ``MAX_ENUMERATION_SIZE`` are refused.
+    """
+    children, maps = _parent_maps(labels, root)
+    r = labels.index(root)
+    for parents in maps:
+        if _is_in_tree(children, parents, r):
+            yield InTree(root, {labels[c]: labels[p] for c, p in zip(children, parents)})
 
 
 def min_in_tree_cost_bruteforce(costs: CostMatrix, root: str) -> TreeCost:
     """Exact minimum in-tree cost by exhaustive enumeration.
 
-    Ties resolve to the first tree :func:`enumerate_in_trees` yields.
+    Each total sums ``I(child, parent)`` in sorted child-label order, as
+    :func:`tree_total` does, so the totals are equal to its.  Ties resolve to
+    the first tree :func:`enumerate_in_trees` yields.  Only a map that would
+    improve on the best total is checked for cycles, and only the winner is
+    built as an :class:`InTree`.
     """
-    best: TreeCost | None = None
-    for tree in enumerate_in_trees(costs.labels, root):
-        total = tree_total(costs, tree)
-        if best is None or total < best.total:
-            best = TreeCost(tree, total)
-    assert best is not None
-    return best
+    labels = costs.labels
+    children, maps = _parent_maps(labels, root)
+    rows = costs.entries.tolist()
+    order = sorted(range(len(children)), key=lambda k: labels[children[k]])
+    r = labels.index(root)
+    best = None
+    for parents in maps:
+        total = 0.0
+        for k in order:
+            total += rows[children[k]][parents[k]]
+        if (best is None or total < best[0]) and _is_in_tree(children, parents, r):
+            best = (total, parents)
+    total, parents = best
+    return TreeCost(InTree(root, {labels[c]: labels[p] for c, p in zip(children, parents)}), total)

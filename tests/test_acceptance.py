@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_cost_matrix, min_in_tree_cost_bruteforce
+from conftest import AnalyticDrift, make_cost_matrix, min_in_tree_cost_bruteforce
 from quasipot import cli
 from quasipot.action import local_lagrangian, quasipotential
 from quasipot.attractors import SearchBox, find_equilibria, stable_attractors
@@ -32,7 +32,7 @@ from quasipot.maxplus import (
     max_balance_residual,
     shortest_path_closure,
 )
-from quasipot.models import JumpAtom, LocalModel
+from quasipot.models import JumpAtom, LinearDrift, LocalModel, PolynomialDrift
 from quasipot.simulate import SimConfig, empirical_rate, simulate, validation_report
 from quasipot.trees import min_arborescence, stationary_rates
 
@@ -140,7 +140,7 @@ def test_criterion_04_gaussian_lagrangian_closed_form(verdict):
             # instance family; redraw the rare near-singular factors
             if np.linalg.cond(sig) <= 300.0:
                 break
-        model = LocalModel(d, lambda y: -np.asarray(y, dtype=float), sig)
+        model = LocalModel(d, LinearDrift(-np.eye(d)), sig)
         y = rng.normal(size=d)
         v = rng.normal(size=d) * 2.0
         w = v + y
@@ -161,11 +161,7 @@ def test_criterion_04_gaussian_lagrangian_closed_form(verdict):
 
 
 def test_criterion_05_double_well_escape_cost(verdict):
-    def drift(y):
-        y = np.asarray(y, dtype=float)
-        return y - y**3
-
-    model = LocalModel(1, drift, np.eye(1))
+    model = LocalModel(1, PolynomialDrift([0.0, 1.0, 0.0, -1.0]), np.eye(1))
     start = time.perf_counter()
     to_saddle = quasipotential(model, [-1.0], [0.0], num_segments=400)
     across = quasipotential(model, [-1.0], [1.0], num_segments=400)
@@ -186,7 +182,7 @@ def test_criterion_05_double_well_escape_cost(verdict):
 
 
 def test_criterion_06_linear_model_three_way_agreement(verdict):
-    model = LocalModel(1, lambda y: -np.asarray(y, dtype=float), np.eye(1))
+    model = LocalModel(1, LinearDrift([[-1.0]]), np.eye(1))
     worst_rel = 0.0
     for r in (0.5, 1.0):
         got = quasipotential(model, [0.0], [r], sweep=(2.0, 5.0, 10.0, 20.0), num_segments=400)
@@ -239,10 +235,16 @@ def test_criterion_07_nonnormal_escape_profile(verdict):
 def test_criterion_08_monte_carlo_ladder(verdict):
     start = time.perf_counter()
 
-    def drift(y):
+    def field(y):
         y = np.asarray(y, dtype=float)
         return 0.15 * (y - y**3)
 
+    def jacobian(y):
+        y = np.asarray(y, dtype=float)
+        return (0.15 * (1.0 - 3.0 * y**2))[..., None]
+
+    # this exact expression, not a Horner form, keeps the simulated samples fixed
+    drift = AnalyticDrift(field, jacobian)
     model = LocalModel(1, drift, np.eye(1))
     box = SearchBox(np.array([-2.0]), np.array([2.0]), 13)
     attractors = stable_attractors(find_equilibria(drift, box))
@@ -317,7 +319,7 @@ def test_criterion_09_convexity_and_jump_monotonicity(verdict):
             JumpAtom(float(rng.uniform(0.1, 2.0)), [float(rng.uniform(-1.0, 1.0)) or 0.5])
             for _ in range(int(rng.integers(0, 3)))
         )
-        model = LocalModel(1, lambda y: -np.asarray(y, dtype=float), sig, atoms)
+        model = LocalModel(1, LinearDrift([[-1.0]]), sig, atoms)
         y = rng.normal(size=1)
         v1 = rng.normal(size=1) * 2
         v2 = rng.normal(size=1) * 2
@@ -329,12 +331,12 @@ def test_criterion_09_convexity_and_jump_monotonicity(verdict):
     worst_mono = np.inf
     for _ in range(1000):
         sig = np.array([[float(rng.uniform(0.4, 2.0))]])
-        base = LocalModel(1, lambda y: -np.asarray(y, dtype=float), sig)
+        base = LocalModel(1, LinearDrift([[-1.0]]), sig)
         atom = JumpAtom(
             float(rng.uniform(0.1, 3.0)),
             [float(rng.uniform(0.05, 1.5)) * (1 if rng.random() < 0.5 else -1)],
         )
-        richer = LocalModel(1, lambda y: -np.asarray(y, dtype=float), sig, (atom,))
+        richer = LocalModel(1, LinearDrift([[-1.0]]), sig, (atom,))
         y = rng.normal(size=1)
         v = rng.normal(size=1) * 2
         worst_mono = min(

@@ -33,20 +33,18 @@ from quasipot.action import (
     quasipotential,
     quasipotential_1d,
 )
-from quasipot.models import JumpAtom, LocalModel, Path
+from quasipot.models import JumpAtom, LinearDrift, LocalModel, Path, PolynomialDrift
 
 JUMP_DUAL_ORACLE = 0.39353323285015607
 JUMP_OU_ORACLE = 0.55864329896102
 DOUBLE_WELL = [0.0, 0.0, -0.5, 0.0, 0.25]
+DECAY = LinearDrift([[-1.0]])
+STILL = LinearDrift([[0.0]])
 
 
 def gaussian_model(dim=1, sigma=None):
     sig = np.eye(dim) if sigma is None else np.asarray(sigma, dtype=float)
-
-    def drift(y):
-        return -np.asarray(y, dtype=float)
-
-    return LocalModel(dim, drift, sig)
+    return LocalModel(dim, LinearDrift(-np.eye(dim)), sig)
 
 
 def test_lagrangian_zero_at_drift_velocity():
@@ -76,7 +74,7 @@ def test_lagrangian_gaussian_closed_form():
 def test_lagrangian_jump_dual_matches_grid_oracle():
     model = LocalModel(
         1,
-        lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+        STILL,
         np.array([[0.5]]),
         (JumpAtom(2.0, [0.4]),),
     )
@@ -91,7 +89,7 @@ def test_lagrangian_jump_dual_matches_grid_oracle():
 
 
 def test_lagrangian_requires_nondegenerate_covariance():
-    flat = LocalModel(1, lambda y: np.zeros_like(np.asarray(y, float)), np.array([[0.0]]))
+    flat = LocalModel(1, STILL, np.array([[0.0]]))
     with pytest.raises(ValueError, match="degenerate"):
         local_lagrangian(flat, np.zeros(1), np.ones(1))
 
@@ -136,7 +134,7 @@ def test_lagrangian_convex_in_velocity(seed, v1, v2):
     rng = np.random.default_rng(seed)
     model = LocalModel(
         1,
-        lambda y: -np.asarray(y, dtype=float),
+        DECAY,
         np.array([[float(rng.uniform(0.5, 2.0))]]),
         (JumpAtom(float(rng.uniform(0.1, 2.0)), [float(rng.uniform(-1, 1)) or 0.3]),),
     )
@@ -152,10 +150,10 @@ def test_lagrangian_convex_in_velocity(seed, v1, v2):
 def test_extra_jump_channel_never_increases_cost(seed):
     rng = np.random.default_rng(seed)
     sig = np.array([[float(rng.uniform(0.5, 2.0))]])
-    base = LocalModel(1, lambda y: -np.asarray(y, dtype=float), sig)
+    base = LocalModel(1, DECAY, sig)
     f = float(rng.uniform(0.05, 1.5)) * (1 if rng.random() < 0.5 else -1)
     atom = JumpAtom(float(rng.uniform(0.1, 3.0)), [f])
-    richer = LocalModel(1, lambda y: -np.asarray(y, dtype=float), sig, (atom,))
+    richer = LocalModel(1, DECAY, sig, (atom,))
     y = rng.normal(size=1)
     v = rng.normal(size=1) * 2.0
     lo = richer.local_covariance(y)
@@ -166,17 +164,35 @@ def test_extra_jump_channel_never_increases_cost(seed):
     )
 
 
-def test_gradient_matches_finite_differences():
+GRADIENT_MODELS = {
+    "ou-constant-jump": LocalModel(1, DECAY, np.array([[0.8]]), (JumpAtom(0.7, [0.5]),)),
+    "cubic-affine-jump": LocalModel(
+        1,
+        PolynomialDrift([0.0, 1.0, 0.0, -1.0]),
+        np.array([[0.8]]),
+        (JumpAtom(0.7, [0.5], [[0.3]]),),
+    ),
+    "nonnormal-2d": LocalModel(
+        2,
+        LinearDrift([[-1.0, 3.0], [0.0, -2.0]]),
+        np.array([[0.6, 0.0], [0.2, 0.5]]),
+        (JumpAtom(1.0, [0.3, 0.2], [[0.1, -0.2], [0.05, 0.15]]), JumpAtom(0.6, [-0.1, 0.35])),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GRADIENT_MODELS))
+def test_gradient_matches_finite_differences(name):
     from quasipot.action import _value_and_gradient
 
-    atom = JumpAtom(0.7, [0.5])
-    model = LocalModel(1, lambda y: -np.asarray(y, dtype=float), np.array([[0.8]]), (atom,))
+    model = GRADIENT_MODELS[name]
+    d = model.dim
     rng = np.random.default_rng(3)
-    pts = np.cumsum(rng.normal(scale=0.2, size=(9, 1)), axis=0)
+    pts = np.cumsum(rng.normal(scale=0.2, size=(9, d)), axis=0)
     dt = 0.25
     val, grad = _value_and_gradient(model, pts, dt)
     for k in range(1, 8):
-        for i in range(1):
+        for i in range(d):
             step = np.zeros_like(pts)
             step[k, i] = 1e-6
             up, _ = _value_and_gradient(model, pts + step, dt)
@@ -188,7 +204,7 @@ def test_gradient_matches_finite_differences():
 def test_minimize_action_straight_line_is_optimal_for_free_motion():
     # zero drift: cheapest way between points at fixed horizon is constant
     # velocity, costing |x1 - x0|^2 / (2 T)
-    model = LocalModel(1, lambda y: np.zeros_like(np.asarray(y, float)), np.eye(1))
+    model = LocalModel(1, STILL, np.eye(1))
     path, res = minimize_action(model, [0.0], [2.0], horizon=4.0, num_segments=64)
     assert res.converged
     assert res.value == pytest.approx(4.0 / 8.0, rel=1e-6)
@@ -254,11 +270,7 @@ def test_quasipotential_at_the_attractor_is_zero():
 
 
 def test_quasipotential_double_well_barrier():
-    def drift(y):
-        y = np.asarray(y, dtype=float)
-        return y - y**3
-
-    model = LocalModel(1, drift, np.eye(1))
+    model = LocalModel(1, PolynomialDrift([0.0, 1.0, 0.0, -1.0]), np.eye(1))
     res = quasipotential(
         model, [-1.0], [0.0], sweep=(2.0, 5.0, 10.0, 20.0), num_segments=200
     )
@@ -285,18 +297,13 @@ def test_quasipotential_extending_sweep_never_increases_value():
 
 
 def double_well_model():
-    dcoeffs = np.polynomial.polynomial.polyder(DOUBLE_WELL)
-
-    def drift(y):
-        y = np.asarray(y, dtype=float)
-        return -np.polynomial.polynomial.polyval(y[..., 0], dcoeffs)[..., None]
-
+    drift = PolynomialDrift(-np.polynomial.polynomial.polyder(DOUBLE_WELL))
     return LocalModel(1, drift, np.eye(1))
 
 
 def jump_ou_model(sigma=1.0, size=0.4):
     atom = JumpAtom(0.8, [size])
-    return LocalModel(1, lambda y: -np.asarray(y, dtype=float), np.array([[sigma]]), (atom,))
+    return LocalModel(1, DECAY, np.array([[sigma]]), (atom,))
 
 
 @pytest.mark.parametrize("x", [-1.3, 0.5, 2.0])

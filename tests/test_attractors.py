@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import AnalyticDrift
 from quasipot.attractors import (
     SearchBox,
     find_equilibria,
-    jacobian_fd,
     stable_attractors,
 )
+from quasipot.models import PolynomialDrift
 
-
-def double_well(y):
-    y = np.asarray(y, dtype=float)
-    return y - y**3
+double_well = PolynomialDrift([0.0, 1.0, 0.0, -1.0])
 
 
 def test_search_box_validation():
@@ -40,18 +38,6 @@ def test_seed_budget_cap():
         SearchBox(np.zeros(4), np.ones(4), 50)
 
 
-def test_jacobian_fd_matches_analytic():
-    def field(y):
-        y = np.asarray(y, dtype=float)
-        x, z = y[..., 0], y[..., 1]
-        return np.stack([x * x - z, 3.0 * x * z], axis=-1)
-
-    point = np.array([0.7, -1.3])
-    jac = jacobian_fd(field, point, step=1e-6)
-    want = np.array([[2 * 0.7, -1.0], [3 * -1.3, 3 * 0.7]])
-    np.testing.assert_allclose(jac, want, atol=1e-6)
-
-
 def test_double_well_equilibria():
     box = SearchBox(np.array([-2.0]), np.array([2.0]), 9)
     eqs = find_equilibria(double_well, box, root_tol=1e-12)
@@ -72,10 +58,7 @@ def test_duplicate_roots_are_merged():
 
 def test_roots_outside_box_are_dropped():
     # roots at 0 and 4; the box only covers the first
-    def field(y):
-        y = np.asarray(y, dtype=float)
-        return -y * (y - 4.0)
-
+    field = PolynomialDrift([0.0, 4.0, -1.0])
     box = SearchBox(np.array([-1.0]), np.array([1.0]), 9)
     eqs = find_equilibria(field, box, root_tol=1e-10)
     assert len(eqs) == 1
@@ -83,10 +66,7 @@ def test_roots_outside_box_are_dropped():
 
 
 def test_marginal_classification():
-    def field(y):
-        y = np.asarray(y, dtype=float)
-        return -(y**3)
-
+    field = PolynomialDrift([0.0, 0.0, 0.0, -1.0])
     box = SearchBox(np.array([-1.0]), np.array([1.0]), 5)
     eqs = find_equilibria(field, box, root_tol=1e-10)
     assert eqs[0].classification == "marginal"
@@ -99,8 +79,16 @@ def test_two_dimensional_system():
         y = np.asarray(y, dtype=float)
         return np.stack([-y[..., 0] + y[..., 1] ** 2, -2.0 * y[..., 1]], axis=-1)
 
+    def jacobian(y):
+        y = np.asarray(y, dtype=float)
+        jac = np.zeros(y.shape + (2,))
+        jac[..., 0, 0] = -1.0
+        jac[..., 0, 1] = 2.0 * y[..., 1]
+        jac[..., 1, 1] = -2.0
+        return jac
+
     box = SearchBox(np.array([-1.5, -1.5]), np.array([1.5, 1.5]), 7)
-    eqs = find_equilibria(field, box, root_tol=1e-12)
+    eqs = find_equilibria(AnalyticDrift(field, jacobian), box, root_tol=1e-12)
     assert len(eqs) == 1
     np.testing.assert_allclose(eqs[0].position, [0.0, 0.0], atol=1e-10)
     np.testing.assert_allclose(eqs[0].jacobian, [[-1.0, 0.0], [0.0, -2.0]], atol=1e-5)

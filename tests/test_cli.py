@@ -328,3 +328,17 @@ def test_rates_on_one_dimensional_jump_spec(tmp_path):
         want = OU_JUMP_COSTS[entry["point"][0]]
         assert entry["costs_from_attractors"][0] == pytest.approx(want, abs=1e-10)
         assert entry["rate"] == pytest.approx(want, abs=1e-10)
+
+
+def test_double_well_equilibria_and_gramian_rates_are_exact(tmp_path):
+    # b = y - y^3 has roots -1, 0, 1 and b' = -2, 1, -2 there; the Gramian
+    # rate of b' = -2, c = 1 is 2 r^2.  The exact Jacobian and Newton's
+    # polishing reproduce all of them to the last bit.
+    spec = str(SPECS / "double_well.json")
+    assert cli.main(["attractors", "--spec", spec, "--out", str(tmp_path / "a")]) == 0
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert [e["position"] for e in report["equilibria"]] == [[-1.0], [0.0], [1.0]]
+    assert [e["jacobian"] for e in report["equilibria"]] == [[[-2.0]], [[1.0]], [[-2.0]]]
+    assert cli.main(["linear", "--spec", spec, "--out", str(tmp_path / "l")]) == 0
+    report = json.loads((tmp_path / "l" / "report.json").read_text())
+    assert [d["rate"] for d in report["displacements"]] == [0.18, 0.72]

@@ -4,8 +4,9 @@ Dual routes checked against each other:
 
 - the Kronecker-solve Lyapunov Gramian against a long quadrature of the
   covariance integral,
-- the quadrature finite-horizon Gramian against the exact reachability
-  identity G_T = G - e^{A T} G e^{A^T T},
+- the finite-horizon Gramian, from the exact reachability identity
+  G_T = G - e^{A T} G e^{A^T T}, against an adaptive quadrature of its
+  defining integral,
 - the matrix exponential against a plain Taylor series on small matrices.
 
 Scalar oracle: for dX = -k X dt + s dW the Gramian is s^2 / (2 k) and the
@@ -14,6 +15,7 @@ quadratic rate at r is k r^2 / s^2.
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.linalg import expm
 
 from quasipot.action import path_action
@@ -26,7 +28,7 @@ from quasipot.linear import (
     lyapunov_gramian,
     quadratic_rate,
 )
-from quasipot.models import LocalModel
+from quasipot.models import LinearDrift, LocalModel
 
 
 def random_stable_model(rng, dim):
@@ -104,11 +106,21 @@ def test_finite_horizon_gramian_reachability_identity():
     for _ in range(8):
         model = random_stable_model(rng, int(rng.integers(1, 5)))
         gram = lyapunov_gramian(model)
-        horizon = float(rng.uniform(0.2, 3.0))
-        via_quadrature = finite_horizon_gramian(model, horizon)
-        e = expm(model.drift_matrix * horizon)
-        exact = gram - e @ gram @ e.T
-        np.testing.assert_allclose(via_quadrature, exact, atol=1e-9)
+
+        def integrand(s):
+            e = expm(model.drift_matrix * s)
+            return e @ model.covariance @ e.T
+
+        for horizon in (1e-6, 1e-3, float(rng.uniform(0.2, 3.0)), 30.0):
+            via_quadrature, _err = scipy.integrate.quad_vec(
+                integrand, 0.0, horizon, epsabs=0.0, epsrel=1e-12
+            )
+            # G - e^{AT} G e^{A^T T} cancels to rounding of |G|, which
+            # dominates the relative error of short horizons
+            atol = 64 * np.finfo(float).eps * np.abs(gram).max()
+            np.testing.assert_allclose(
+                finite_horizon_gramian(model, horizon), via_quadrature, rtol=1e-12, atol=atol
+            )
 
 
 def test_expm_against_taylor_series():
@@ -142,7 +154,7 @@ def test_finite_horizon_path_action_matches_quadratic_cost():
     path = finite_horizon_path(model, r, horizon, 600)
     gram_t = finite_horizon_gramian(model, horizon)
     want = 0.5 * r @ np.linalg.solve(gram_t, r)
-    local = LocalModel(2, lambda y: np.asarray(y, float) @ model.drift_matrix.T, np.eye(2))
+    local = LocalModel(2, LinearDrift(model.drift_matrix), np.eye(2))
     got = path_action(local, path)
     assert got.converged
     assert got.value == pytest.approx(want, rel=1e-3)

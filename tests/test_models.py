@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasipot.models import JumpAtom, LocalModel, Path
+from conftest import AnalyticDrift
+from quasipot.models import JumpAtom, LinearDrift, LocalModel, Path, PolynomialDrift
+
+DECAY2 = LinearDrift(-np.eye(2))
 
 
 def make_toy_model(jumps=()):
-    def drift(y):
-        y = np.asarray(y, dtype=float)
-        return -y
-
-    return LocalModel(2, drift, np.array([[1.0, 0.0], [0.5, 2.0]]), jumps)
+    return LocalModel(2, DECAY2, np.array([[1.0, 0.0], [0.5, 2.0]]), jumps)
 
 
 def test_constant_jump_broadcasts():
@@ -36,7 +35,7 @@ def test_jump_atom_rejects_bad_rate():
 def test_jump_shapes_are_checked():
     # a jump vector shorter than the model used to broadcast silently
     with pytest.raises(ValueError, match="length 2"):
-        LocalModel(2, lambda y: -y, np.eye(2), (JumpAtom(1.0, [0.5]),))
+        LocalModel(2, DECAY2, np.eye(2), (JumpAtom(1.0, [0.5]),))
     with pytest.raises(ValueError, match="matrix"):
         JumpAtom(1.0, [0.5, 0.0], np.eye(3))
     with pytest.raises(ValueError, match="one-dimensional"):
@@ -60,23 +59,71 @@ def test_jump_values_match_per_channel_formulas_bitwise(d, batch):
         axis=-2,
     )
     for j in range(4):
-        model = LocalModel(d, lambda y: -y, np.eye(d), atoms[:j])
+        model = LocalModel(d, LinearDrift(-np.eye(d)), np.eye(d), atoms[:j])
         got = model.jump_values(y)
         assert got.shape == batch + (j, d)
         assert np.array_equal(got, want[..., :j, :])
 
 
 def test_drift_shape_check():
-    model = LocalModel(2, lambda y: np.asarray(y)[..., :1], np.eye(2))
+    def first_axis(y):
+        return np.asarray(y)[..., :1]
+
+    def jacobian(y):
+        return np.broadcast_to([[1.0, 0.0]], np.shape(y)[:-1] + (1, 2))
+
+    model = LocalModel(2, AnalyticDrift(first_axis, jacobian), np.eye(2))
     with pytest.raises(ValueError, match="drift returned"):
         model.drift_at(np.zeros(2))
+
+
+def test_drift_records_evaluate_as_the_spec_closures_bitwise():
+    rng = np.random.default_rng(7)
+    matrix = rng.normal(size=(3, 3))
+    coeffs = rng.normal(size=5)
+    for y in (rng.normal(size=(40, 3)), rng.normal(size=(4, 5, 3)), rng.normal(size=3)):
+        assert np.array_equal(LinearDrift(matrix)(y), np.asarray(y, float) @ matrix.T)
+    for y in (np.linspace(-3.0, 3.0, 601)[:, None], rng.normal(size=(4, 5, 1))):
+        want = np.polynomial.polynomial.polyval(y[..., 0], coeffs)[..., None]
+        assert np.array_equal(PolynomialDrift(coeffs)(y), want)
+
+
+@pytest.mark.parametrize(
+    "drift, d",
+    [
+        (LinearDrift([[-1.0, 3.0], [0.5, -2.0]]), 2),
+        (PolynomialDrift([0.3, 1.0, -0.5, -1.0]), 1),
+    ],
+    ids=["linear", "polynomial"],
+)
+def test_drift_jacobian_matches_central_differences(drift, d):
+    y = np.random.default_rng(3).normal(size=(6, d))
+    jac = drift.jacobian(y)
+    assert jac.shape == (6, d, d)
+    h = 1e-6
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        np.testing.assert_allclose(jac[..., i], (drift(y + e) - drift(y - e)) / (2 * h), atol=1e-8)
+
+
+def test_drift_records_are_validated_and_read_only():
+    with pytest.raises(ValueError, match="Jacobian"):
+        LocalModel(1, lambda y: -np.asarray(y, float), np.eye(1))
+    with pytest.raises(ValueError, match="square"):
+        LinearDrift(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="nonempty vector"):
+        PolynomialDrift([[1.0, 2.0]])
+    poly = PolynomialDrift([0.0, 1.0, 0.0, -1.0])
+    for arr in (DECAY2.matrix, poly.coefficients, make_toy_model().jump_matrices):
+        assert not arr.flags.writeable
 
 
 def test_diffusion_is_a_constant_matrix():
     sig = np.array([[1.0, 0.0], [0.5, 2.0]])
     with pytest.raises(ValueError, match="constant"):
-        LocalModel(2, lambda y: -np.asarray(y, float), lambda y: sig)
-    model = LocalModel(2, lambda y: -np.asarray(y, float), sig)
+        LocalModel(2, DECAY2, lambda y: sig)
+    model = LocalModel(2, DECAY2, sig)
     y = np.random.default_rng(0).normal(size=(5, 3, 2))
     sig_at = model.diffusion_at(y)
     cov_at = model.noise_covariance(y)
@@ -132,7 +179,7 @@ def test_no_jumps_edge_case():
 def test_assert_nondegenerate():
     good = make_toy_model()
     good.assert_nondegenerate(np.zeros((3, 2)))
-    flat = LocalModel(2, lambda y: -np.asarray(y, float), np.array([[1.0], [0.0]]))
+    flat = LocalModel(2, DECAY2, np.array([[1.0], [0.0]]))
     with pytest.raises(ValueError, match="degenerate"):
         flat.assert_nondegenerate(np.zeros(2))
 
@@ -140,7 +187,7 @@ def test_assert_nondegenerate():
 def test_degenerate_diffusion_fixed_by_jump():
     # a jump channel can restore full rank by itself
     atom = JumpAtom(1.0, [0.0, 1.0])
-    model = LocalModel(2, lambda y: -np.asarray(y, float), np.array([[1.0], [0.0]]), (atom,))
+    model = LocalModel(2, DECAY2, np.array([[1.0], [0.0]]), (atom,))
     model.assert_nondegenerate(np.zeros(2))
 
 
@@ -154,7 +201,7 @@ def test_local_covariance_is_psd(seed):
         JumpAtom(float(rng.uniform(0.1, 2.0)), rng.normal(size=d))
         for _ in range(int(rng.integers(0, 3)))
     )
-    model = LocalModel(d, lambda y: -np.asarray(y, float), sig, atoms)
+    model = LocalModel(d, LinearDrift(-np.eye(d)), sig, atoms)
     c = model.local_covariance(rng.normal(size=(5, d)))
     eigs = np.linalg.eigvalsh(c)
     assert (eigs >= -1e-12).all()

@@ -313,7 +313,14 @@ def test_every_solve_goes_through_quasipotential_once(monkeypatch):
     report, _ = run_validate(spec)
     assert len(calls) - rates_calls == n * (n - 1) + n * points + n * bins
     assert report.to_dict()["solver_runs"]["total"] == len(calls) - rates_calls
-    assert not any(np.array_equal(source, target) for source, target in calls)
+    # The n(n-1) attractor-to-attractor solves come first and never start at
+    # their target.  The later solves go to evaluation points and bin
+    # centers, which may sit exactly on an attractor (here -1.0 on a0): such
+    # a solve is legitimate and costs 0.
+    pairs = n * (n - 1)
+    for run in (calls[:rates_calls], calls[rates_calls:]):
+        same = [k for k, (source, target) in enumerate(run) if np.array_equal(source, target)]
+        assert all(k >= pairs for k in same)
 
 
 @pytest.mark.parametrize("runner", [run_rates, run_validate])

@@ -9,7 +9,7 @@ used here.
 import numpy as np
 import pytest
 
-from quasipot.models import JumpAtom, LocalModel
+from quasipot.models import JumpAtom, LinearDrift, LocalModel, PolynomialDrift
 from quasipot.simulate import (
     _BLOCK,
     MIN_SAMPLES,
@@ -23,10 +23,7 @@ from quasipot.simulate import (
 
 
 def ou_model(k=1.0, s=1.0):
-    def drift(y):
-        return -k * np.asarray(y, dtype=float)
-
-    return LocalModel(1, drift, np.array([[s]]))
+    return LocalModel(1, LinearDrift([[-k]]), np.array([[s]]))
 
 
 def base_config(**overrides):
@@ -107,17 +104,13 @@ def test_ou_stationary_variance_scaling():
 def test_jump_channel_compensation():
     # compensated jumps leave the mean at the drift fixed point
     atom = JumpAtom(3.0, [0.2])
-    model = LocalModel(1, lambda y: -np.asarray(y, float), np.array([[0.5]]), (atom,))
+    model = LocalModel(1, LinearDrift([[-1.0]]), np.array([[0.5]]), (atom,))
     x = simulate(model, base_config(n_values=(40,), horizon=200.0, replicas=6, seed=9))[0]
     assert abs(x.mean()) < 0.01
 
 
 def test_blowup_is_reported():
-    def runaway(y):
-        y = np.asarray(y, dtype=float)
-        return y**2
-
-    model = LocalModel(1, runaway, np.eye(1))
+    model = LocalModel(1, PolynomialDrift([0.0, 0.0, 1.0]), np.eye(1))
     cfg = base_config(dt=0.5, initial=np.array([10.0]), horizon=400.0)
     with pytest.raises(SimulationBlowup, match="exceeded"):
         simulate(model, cfg)
@@ -125,7 +118,7 @@ def test_blowup_is_reported():
 
 def test_blowup_names_its_rung():
     # every rung leaves the region at the same step: the lowest index is named
-    runaway = LocalModel(1, lambda y: np.asarray(y, float) ** 2, np.eye(1))
+    runaway = LocalModel(1, PolynomialDrift([0.0, 0.0, 1.0]), np.eye(1))
     cfg = base_config(n_values=(50, 20), dt=0.5, initial=np.array([10.0]), horizon=400.0)
     with pytest.raises(SimulationBlowup) as info:
         simulate(runaway, cfg)
@@ -172,7 +165,7 @@ def rotated_jump_model():
     )
     matrix = np.array([[-1.0, 0.4], [-0.3, -1.5]])
     sigma = np.array([[0.9, 0.3], [-0.2, 1.1]])
-    return LocalModel(2, lambda y: np.asarray(y, float) @ matrix.T, sigma, atoms)
+    return LocalModel(2, LinearDrift(matrix), sigma, atoms)
 
 
 REFERENCE_MODELS = pytest.mark.parametrize(
