@@ -9,8 +9,9 @@ costs between attractors of the zero-noise flow:
   produces the unique balanced stationary rates.
 - :mod:`quasipot.models`: jump-diffusion model containers.
 - :mod:`quasipot.action`: the path action functional and its minimization,
-  giving inter-attractor quasipotentials, and their exact one-dimensional
-  form by Hamiltonian quadrature.
+  giving inter-attractor quasipotentials, their exact one-dimensional
+  form by Hamiltonian quadrature, and their exact form for linear drift
+  with constant jumps by convex duality.
 - :mod:`quasipot.linear`: closed forms for linear drift (Gramian
   quasipotentials, finite-horizon optimal paths, escape profiles).
 - :mod:`quasipot.attractors`: equilibrium search and classification.
@@ -40,6 +41,7 @@ from .action import (
     path_action,
     quasipotential,
     quasipotential_1d,
+    quasipotential_dual,
 )
 from .linear import (
     LinearModel,
@@ -83,6 +85,7 @@ __all__ = [
     "quadratic_rate",
     "quasipotential",
     "quasipotential_1d",
+    "quasipotential_dual",
     "shortest_path_closure",
     "simulate",
     "stable_attractors",

@@ -18,19 +18,34 @@ channels that start is already exact.
 In one dimension the infimum has a closed form as a quadrature over the
 Hamiltonian's nonzero root, :func:`quasipotential_1d`, which needs neither
 paths nor horizons.
+
+For linear drift ``b(y) = B y`` with constant jump vectors the running
+cost is ``L(y, v) = ell(v - B y)`` with ``ell`` convex, so the escape cost
+from the origin is convex too and equals its convex dual (Freidlin &
+Wentzell 2012 for the Gaussian case; Rockafellar, *Convex Analysis*, 1970):
+
+``V(x) = sup_theta [ theta . x - Phi(theta) ]``,
+``Phi(theta) = int_0^inf K(e^{B^T s} theta) ds``,
+
+with ``K`` the cumulant ``theta^T c theta / 2 + sum_j nu_j (e^{theta . f_j}
+- 1 - theta . f_j)``.  :func:`quasipotential_dual` evaluates ``Phi`` by a
+fixed quadrature and maximizes by Newton's method, again without paths or
+horizons.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 import scipy.optimize
 
-from .models import LocalModel, Path
+from .models import LinearDrift, LocalModel, Path
 
 #: Default horizon sweep for quasipotential computations.
 DEFAULT_SWEEP = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
@@ -53,6 +68,13 @@ _DUAL_GRAD_TOL = 1e-10
 _MINIMIZE_GRAD_TOL = 1e-6
 _STAGNATION_TOL = 1e-8
 _STAGNATION_WINDOW = 100
+# Convex dual: Gauss-Legendre nodes per panel; the decay factor of a mode
+# e^{lambda s} of B at which the quadrature drops it; the fewest panels over
+# the whole range; and the panels per unit of |lambda| s while mode lambda lives.
+_FLOW_NODES = 8
+_FLOW_DECAY = 1e17
+_FLOW_PANELS = 60
+_FLOW_PANELS_PER_RATE = 1.0
 
 
 @dataclass(frozen=True)
@@ -109,7 +131,8 @@ def _dual_batch(
     A row converges when its max-norm gradient is at most ``_DUAL_GRAD_TOL``,
     or when its Newton gain ``g^T H^{-1} g / 2`` is below the rounding error
     of the dual's own terms, so that no step can raise the value measurably
-    (the Newton-decrement stopping rule, Boyd & Vandenberghe 2004, 9.5).
+    (the Newton-decrement stopping rule, Boyd & Vandenberghe 2004, 9.5); such
+    a row takes that last Newton step undamped.
     """
     M, d = w.shape
     J = len(nu)
@@ -166,6 +189,10 @@ def _dual_batch(
                 except np.linalg.LinAlgError:
                     stalled[r] = True
             rows = np.where(active & ~stalled)[0]
+        # An overflowed Hessian gives no usable step.
+        usable = np.isfinite(delta[rows]).all(axis=1)
+        stalled[rows[~usable]] = True
+        rows = rows[usable]
         # Retire rows whose Newton gain is below the rounding error of the
         # dual's terms: the line search could only stall on them.
         lam_r, z_r = lam[rows], z[rows]
@@ -177,28 +204,32 @@ def _dual_batch(
                 + (nu * (np.abs(np.expm1(z_r)) + np.abs(z_r))).sum(axis=1)
             )
         done = gain <= 4.0 * np.finfo(float).eps * noise
-        retired[rows[done]] = True
+        # A retiring row still takes its undamped step: the value cannot
+        # tell it apart, but the maximizer, which the envelope gradient
+        # uses, gains its last digits from it.
+        fin = rows[done]
+        lam[fin] += delta[fin]
+        val[fin] = _dual_value(lam[fin], w[fin], cov[fin], nu, f[fin])
+        retired[fin] = True
         rows = rows[~done]
         if rows.size == 0:
             continue
         # Damped step: halve until the concave objective strictly improves.
+        # A row whose halved step no longer moves it has stalled.
         step = np.ones(rows.size)
         pending = np.ones(rows.size, dtype=bool)
-        for _halve in range(40):
+        while pending.any():
             sub = rows[pending]
-            if sub.size == 0:
-                break
             trial = lam[sub] + step[pending, None] * delta[sub]
             tval = _dual_value(trial, w[sub], cov[sub], nu, f[sub])
             good = np.isfinite(tval) & (tval > val[sub])
+            stuck = ~good & (trial == lam[sub]).all(axis=1)
             take = sub[good]
             lam[take] = trial[good]
             val[take] = tval[good]
-            upd = pending.copy()
-            upd[np.where(pending)[0][good]] = False
-            pending = upd
+            stalled[sub[stuck]] = True
+            pending[np.where(pending)[0][good | stuck]] = False
             step[pending] *= 0.5
-        stalled[rows[pending]] = True
 
     grad = gradient(lam)
     converged = retired | (np.abs(grad).max(axis=1) <= _DUAL_GRAD_TOL)
@@ -552,3 +583,78 @@ def quasipotential_1d(
     if value >= COST_CAP:
         value = math.inf
     return ActionValue(value, iterations, roots_converged and not warning)
+
+
+@functools.lru_cache(maxsize=16)
+def _flow_quadrature(matrix: bytes, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature of time integrals along the flow ``e^{B s}`` of a Hurwitz ``B``.
+
+    ``B`` is the ``(dim, dim)`` float matrix with the bytes ``matrix`` (the
+    key of the cache: one quadrature serves every solve on a model).
+    Returns read-only ``weights`` (K,) and ``flows`` (K, d, d), ``e^{B s_k}``,
+    at the nodes ``s_k`` of composite Gauss-Legendre panels on
+    ``[0, ln(1e17) / min |Re lambda(B)|]``.  The mode of eigenvalue
+    ``lambda`` lives until it has decayed by ``1e17``; while it lives the
+    panels are at most ``1 / |lambda|`` wide, which resolves fast and
+    oscillating modes as well as slow ones.  There are at least 60 panels.
+
+    Raises ``ValueError`` unless ``B`` is Hurwitz.
+    """
+    b = np.frombuffer(matrix).reshape(dim, dim)
+    eig = np.linalg.eigvals(b)
+    if not (eig.real < 0).all():
+        raise ValueError(f"drift matrix must be Hurwitz; largest eigenvalue real part is {eig.real.max():.3g}")
+    lifetimes = math.log(_FLOW_DECAY) / -eig.real
+    horizon = lifetimes.max()
+    cuts = np.unique(np.append(0.0, lifetimes))
+    edges = [np.zeros(1)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        fastest = np.abs(eig[lifetimes > lo]).max()
+        per_time = max(_FLOW_PANELS / horizon, _FLOW_PANELS_PER_RATE * fastest)
+        edges.append(np.linspace(lo, hi, math.ceil((hi - lo) * per_time) + 1)[1:])
+    edges = np.concatenate(edges)
+    unit, unit_weights = np.polynomial.legendre.leggauss(_FLOW_NODES)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (edges[:-1, None] + half * (unit + 1.0)).ravel()
+    weights = (half * unit_weights).ravel()
+    flows = scipy.linalg.expm(nodes[:, None, None] * b)
+    for arr in (weights, flows):
+        arr.flags.writeable = False
+    return weights, flows
+
+
+def quasipotential_dual(model: LocalModel, attractor: Sequence[float], target: Sequence[float]) -> ActionValue:
+    """Exact escape cost of a linear drift with constant jumps, by convex duality.
+
+    ``V(a, x) = sup_theta [theta . r - Phi(theta)]`` with ``r = x - a`` and
+    ``Phi(theta) = int_0^inf K(e^{B^T s} theta) ds`` (module docstring), the
+    integral taken by a fixed quadrature of ``B`` built once per matrix.  On
+    the quadrature's nodes ``s_k`` with weights ``w_k``, ``Phi`` is the
+    Gaussian part ``theta^T S theta / 2``, ``S = sum_k w_k e^{B s_k} c
+    e^{B^T s_k}`` (the Gramian), plus one jump channel per node and jump
+    ``j``, of rate ``w_k nu_j`` and vector ``e^{B s_k} f_j``.  That is the
+    local dual with covariance ``S``, maximized by the same Newton solve as
+    the Lagrangian; without jumps ``V = r^T S^{-1} r / 2``.  Values
+    reaching ``COST_CAP`` are reported as infinite.
+
+    Requires a :class:`~quasipot.models.LinearDrift` whose matrix is Hurwitz
+    (else ``ValueError``), jump vectors that do not depend on the state, and
+    an equilibrium start within ``EQUILIBRIUM_TOL``.
+    """
+    if not isinstance(model.drift, LinearDrift) or model.jump_matrices.any():
+        raise ValueError("the convex dual needs a LinearDrift and constant jump vectors")
+    b = np.ascontiguousarray(model.drift.matrix, dtype=float)
+    weights, flows = _flow_quadrature(b.tobytes(), model.dim)
+    a, x = _escape_endpoints(model, attractor, target)
+    r = x - a
+    gram = np.einsum("k,kde,ef,kgf->dg", weights, flows, model.noise_covariance(r), flows)
+    gram = 0.5 * (gram + gram.T)
+    pushed = np.einsum("kde,je->kjd", flows, model.jump_values(r))  # e^{B s_k} f_j
+    rates = np.outer(weights, model.jump_rates)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, _, iterations, converged = _dual_batch(
+            r[None], gram[None], rates.ravel(), pushed.reshape(1, -1, model.dim)
+        )
+    if val[0] >= COST_CAP:
+        return ActionValue(math.inf, iterations, True)
+    return ActionValue(float(val[0]), iterations, bool(converged[0]))

@@ -579,9 +579,13 @@ class RateReport:
         }
 
 
-def _escape_cost_method(dim: int) -> str:
-    """Name of the method :func:`quasipotential` uses in dimension ``dim``."""
-    return "hamiltonian_quadrature" if dim == 1 else "minimum_action"
+def _escape_cost_method(model: LocalModel) -> str:
+    """Name of the method :func:`quasipotential` uses for ``model``."""
+    if model.dim == 1:
+        return "hamiltonian_quadrature"
+    if isinstance(model.drift, LinearDrift) and not model.jump_matrices.any():
+        return "convex_dual"
+    return "minimum_action"
 
 
 def quasipotential(
@@ -595,19 +599,24 @@ def quasipotential(
 ) -> ActionValue:
     """One escape-cost solve of the pipeline; every solve calls this name.
 
-    The method is :func:`_escape_cost_method` of the model's dimension.
+    The method is :func:`_escape_cost_method` of the model.
     ``hamiltonian_quadrature`` (one dimension) is the exact
-    :func:`~quasipot.action.quasipotential_1d`, split at the ``equilibria``;
-    it ignores the horizon sweep and path settings.  ``minimum_action``
-    minimizes the action with :func:`quasipot.action.quasipotential`.
+    :func:`~quasipot.action.quasipotential_1d`, split at the ``equilibria``.
+    ``convex_dual`` (linear drift, constant jump vectors) is the exact
+    :func:`~quasipot.action.quasipotential_dual`.  Both ignore the horizon
+    sweep and path settings.  ``minimum_action`` minimizes the action with
+    :func:`quasipot.action.quasipotential`.
     """
-    if _escape_cost_method(model.dim) == "hamiltonian_quadrature":
+    method = _escape_cost_method(model)
+    if method == "hamiltonian_quadrature":
         return quasipotential_1d(
             model,
             attractor,
             target,
             breakpoints=[eq.position[0] for eq in equilibria],
         )
+    if method == "convex_dual":
+        return action.quasipotential_dual(model, attractor, target)
     return action.quasipotential(model, attractor, target, sweep=sweep, num_segments=num_segments)
 
 
@@ -706,7 +715,7 @@ def _solve_rates(
         total_runs=len(tasks),
         provenance={
             **_provenance(spec),
-            "escape_cost_method": _escape_cost_method(model.dim),
+            "escape_cost_method": _escape_cost_method(model),
         },
     )
     return report, model, point_rates[n_eval:]

@@ -9,6 +9,9 @@ The oracles are the direct loop forms of what ``src/`` computes faster:
 fluxes with ``cost_flux``, and ``min_in_tree_cost_bruteforce`` enumerates
 every in-tree.  They stay here, out of the package, as the references for
 ``maxplus.max_balance_residual`` and ``trees.min_arborescence``.
+
+``finite_horizon_dual`` is the exact fixed-horizon escape cost of a linear
+drift with constant jumps, the reference for ``action.minimize_action``.
 """
 
 import itertools
@@ -18,6 +21,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 from quasipot.maxplus import CostMatrix, StationaryRates
 from quasipot.trees import InTree, TreeCost, tree_total
@@ -31,6 +36,47 @@ class AnalyticDrift:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return self.field(y)
+
+
+def finite_horizon_dual(model, target: Sequence[float], horizon: float) -> float:
+    """Cheapest action from 0 to ``target`` in time ``horizon``, by convex duality.
+
+    For ``b(y) = B y``, constant ``c = sigma sigma^T`` and constant jump
+    vectors ``f_j`` the fixed-horizon cost is
+    ``sup_theta [theta . x - int_0^T K(e^{B^T s} theta) ds]`` with
+    ``K(z) = z^T c z / 2 + sum_j nu_j (e^{z . f_j} - 1 - z . f_j)``.  The
+    integral is 50 panels of 8-node Gauss-Legendre with one ``expm`` per node,
+    and scipy's ``trust-exact`` maximizes the concave objective.
+    """
+    b = model.drift.matrix
+    cov = model.diffusion @ model.diffusion.T
+    nu = model.jump_rates
+    f = model.jump_values(np.zeros(model.dim))
+    unit, unit_w = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(0.0, horizon, 51)
+    half = 0.5 * np.diff(edges)
+    nodes = np.concatenate([lo + h * (unit + 1.0) for lo, h in zip(edges[:-1], half)])
+    weights = np.concatenate([h * unit_w for h in half])
+    flows_t = np.array([scipy.linalg.expm(b.T * s) for s in nodes])  # e^{B^T s}
+    x = np.asarray(target, dtype=float)
+
+    def negated(theta):
+        z = flows_t @ theta
+        jz = z @ f.T
+        phi = weights @ (0.5 * np.einsum("kd,de,ke->k", z, cov, z) + (np.expm1(jz) - jz) @ nu)
+        dk = z @ cov + (np.expm1(jz) * nu) @ f
+        hk = cov + np.einsum("kj,jd,je->kde", np.exp(jz) * nu, f, f)
+        grad = np.einsum("k,kdi,kd->i", weights, flows_t, dk)
+        hess = np.einsum("k,kdi,kde,kej->ij", weights, flows_t, hk, flows_t)
+        return phi - theta @ x, grad - x, hess
+
+    res = scipy.optimize.minimize(
+        lambda t: negated(t)[:2], np.zeros(model.dim), jac=True,
+        hess=lambda t: negated(t)[2], method="trust-exact", options={"gtol": 1e-12},
+    )
+    # trust-exact may stop at rounding short of its gtol; the gradient decides
+    assert np.abs(res.jac).max() <= 1e-9, res.message
+    return -float(res.fun)
 
 
 #: Largest attractor set for which exhaustive in-tree enumeration is allowed

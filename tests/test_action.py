@@ -18,20 +18,34 @@ Frozen oracles used here:
   quadratures of the Hamiltonian's nonzero root agree on it to 1e-15:
   brentq roots under adaptive ``quad``, and 200-step vectorized bisection
   under composite Simpson on 200001 nodes.
+- Linear drift with constant jumps: without jumps the escape cost is the
+  Gramian rate r^T G^{-1} r / 2; a rotated product of 1-D OU processes with
+  one jump channel per axis separates into a sum of 1-D costs, each a
+  quadrature of the axis Hamiltonian's nonzero root written here; at a fixed
+  horizon the cost is ``conftest.finite_horizon_dual``.
 """
+
+import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
+import scipy.optimize
+from conftest import finite_horizon_dual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasipot.action import (
     ActionValue,
+    _flow_quadrature,
     local_lagrangian,
     minimize_action,
     path_action,
     quasipotential,
     quasipotential_1d,
+    quasipotential_dual,
 )
 from quasipot.models import JumpAtom, LinearDrift, LocalModel, Path, PolynomialDrift
 
@@ -245,7 +259,9 @@ def test_minimize_action_warm_start_only_improves():
 
 
 ESCAPE_SOLVERS = pytest.mark.parametrize(
-    "solve", [quasipotential, quasipotential_1d], ids=["quasipotential", "quasipotential_1d"]
+    "solve",
+    [quasipotential, quasipotential_1d, quasipotential_dual],
+    ids=["quasipotential", "quasipotential_1d", "quasipotential_dual"],
 )
 
 
@@ -398,3 +414,188 @@ def test_quasipotential_with_jumps_matches_quadrature(jump_ou_minimized):
 
 def test_quasipotential_with_jumps_converges(jump_ou_minimized):
     assert jump_ou_minimized.converged
+
+
+def test_retired_dual_rows_reach_the_maximizer():
+    # A row retired by the rounding rule takes its last Newton step, so the
+    # maximizer is exact and the envelope gradient with it.
+    from quasipot.action import _chords, _dual_batch, _dual_inputs, _value_and_gradient
+
+    model = GRADIENT_MODELS["ou-constant-jump"]
+    pts = np.cumsum(np.random.default_rng(3).normal(scale=0.2, size=(9, 1)), axis=0)
+    dt = 0.25
+    w, cov, nu, f = _dual_inputs(model, *_chords(pts, dt))
+    _, lam, _, converged = _dual_batch(w, cov, nu, f)
+    jumps = np.expm1(np.einsum("mjd,md->mj", f, lam))
+    dual_grad = w - np.einsum("mde,me->md", cov, lam) - np.einsum("j,mj,mjd->md", nu, jumps, f)
+    assert converged.all() and len(converged) == 8
+    assert np.abs(dual_grad).max() <= 1e-10
+    _, grad = _value_and_gradient(model, pts, dt)
+    h = 1e-5
+    step = np.zeros_like(pts)
+    step[1, 0] = h
+    up, down = (_value_and_gradient(model, pts + sign * step, dt)[0] for sign in (1, -1))
+    fd = (up - down) / (2 * h)
+    assert abs(grad[1, 0] - fd) <= 1e-9
+
+
+# -- exact escape costs of linear drift by convex duality ---------------------
+
+NONNORMAL_JUMPS = GRADIENT_MODELS["nonnormal-2d"]
+NONNORMAL_CONSTANT_JUMPS = LocalModel(
+    2,
+    NONNORMAL_JUMPS.drift,
+    NONNORMAL_JUMPS.diffusion,
+    (JumpAtom(1.0, [0.3, 0.2]), JumpAtom(0.6, [-0.1, 0.35])),
+)
+NONNORMAL_TARGET = [0.2, -0.7]
+
+
+def axis_cost(k, s, c, nu, y):
+    """``V(0, y)`` of ``dY = -k Y dt + s dW`` plus jumps ``c`` at rate ``nu``.
+
+    The integral from 0 to ``y`` of the nonzero root, on the side of ``u``,
+    of ``H(u, p) / p = -k u + s^2 p / 2 + nu (e^{p c} - 1 - p c) / p``.
+    """
+
+    def root(u):
+        def slope(p):
+            if p == 0.0:
+                return -k * u
+            return -k * u + 0.5 * s * s * p + nu * (math.expm1(p * c) - p * c) / p
+
+        if u == 0.0:
+            return 0.0
+        sign, reach = math.copysign(1.0, u), 1.0
+        while sign * slope(sign * reach) <= 0.0:
+            reach *= 2.0
+        lo, hi = sorted((0.0, sign * reach))
+        return scipy.optimize.brentq(slope, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+    return scipy.integrate.quad(root, 0.0, y, epsabs=1e-14, epsrel=1e-13)[0]
+
+
+# non-normal, stiff (|lambda| ratio 50) and oscillating (|Im| / |Re| = 20) drifts
+GRAMIAN_CASES = {
+    "nonnormal": (NONNORMAL_JUMPS.drift.matrix, NONNORMAL_JUMPS.diffusion),
+    "stiff": (np.diag([-1.0, -50.0]), np.eye(2)),
+    "oscillating": (np.array([[-1.0, 20.0], [-20.0, -1.0]]), np.diag([1.0, math.sqrt(0.1)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAMIAN_CASES))
+def test_dual_matches_the_gramian_without_jumps(case):
+    b, sigma = GRAMIAN_CASES[case]
+    model = LocalModel(2, LinearDrift(b), sigma)
+    gram = scipy.linalg.solve_continuous_lyapunov(b, -sigma @ sigma.T)
+    for x in ([0.2, -0.7], [1.5, 0.3], [-2.0, 1.0], [0.0, 0.05], [0.0, 0.1]):
+        x = np.array(x)
+        res = quasipotential_dual(model, [0.0, 0.0], x)
+        assert res.converged
+        assert res.value == pytest.approx(0.5 * x @ np.linalg.solve(gram, x), abs=1e-12)
+
+
+def test_dual_matches_a_rotated_separable_quadrature_sum():
+    angle, k, s, c, nu = 0.6, (1.0, 0.5), (1.0, 0.7), (0.4, -0.3), (0.8, 0.5)
+    q = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    model = LocalModel(
+        2,
+        LinearDrift(q @ np.diag(-np.array(k)) @ q.T),
+        q @ np.diag(s),
+        tuple(JumpAtom(nu[i], c[i] * q[:, i]) for i in range(2)),
+    )
+    for radius in (0.4, 0.6, 0.8, 1.0, 1.5):
+        for turn in range(4):
+            phase = angle + math.pi / 4 + math.pi / 2 * turn + 0.3 * radius
+            x = radius * np.array([math.cos(phase), math.sin(phase)])
+            y = q.T @ x
+            want = sum(axis_cost(k[i], s[i], c[i], nu[i], float(y[i])) for i in range(2))
+            res = quasipotential_dual(model, [0.0, 0.0], x)
+            assert res.converged
+            assert res.value == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.8, -1.3, 2.0])
+def test_dual_in_one_dimension_matches_the_quadrature(x):
+    res = quasipotential_dual(jump_ou_model(), [0.0], [x])
+    assert res.converged
+    assert res.value == pytest.approx(quasipotential_1d(jump_ou_model(), [0.0], [x]).value, abs=1e-10)
+
+
+@pytest.fixture
+def fresh_quadratures():
+    # the quadrature cache is keyed on B alone, not on the panel constants
+    yield
+    _flow_quadrature.cache_clear()
+
+
+JUMPS = NONNORMAL_CONSTANT_JUMPS.jumps
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        NONNORMAL_CONSTANT_JUMPS,
+        LocalModel(2, LinearDrift(GRAMIAN_CASES["stiff"][0]), np.eye(2), JUMPS),
+        LocalModel(2, LinearDrift(GRAMIAN_CASES["oscillating"][0]), GRAMIAN_CASES["oscillating"][1], JUMPS),
+    ],
+    ids=["nonnormal", "stiff", "oscillating"],
+)
+def test_dual_is_stable_under_panel_doubling(model, monkeypatch, fresh_quadratures):
+    import quasipot.action as action
+
+    values = []
+    for refine in (1, 2):
+        monkeypatch.setattr(action, "_FLOW_PANELS", 60 * refine)
+        monkeypatch.setattr(action, "_FLOW_PANELS_PER_RATE", 1.0 * refine)
+        _flow_quadrature.cache_clear()
+        values.append(quasipotential_dual(model, [0.0, 0.0], NONNORMAL_TARGET).value)
+    assert abs(values[1] - values[0]) <= 1e-11
+
+
+def test_dual_refusals():
+    sigma = np.eye(2)
+    unstable = LocalModel(2, LinearDrift([[0.1, 0.0], [0.0, -1.0]]), sigma)
+    with pytest.raises(ValueError, match="Hurwitz"):
+        quasipotential_dual(unstable, [0.0, 0.0], [1.0, 0.0])
+    marginal = LocalModel(2, LinearDrift([[0.0, 1.0], [0.0, -1.0]]), sigma)
+    with pytest.raises(ValueError, match="Hurwitz"):
+        quasipotential_dual(marginal, [0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="constant jump vectors"):
+        quasipotential_dual(NONNORMAL_JUMPS, [0.0, 0.0], NONNORMAL_TARGET)
+
+
+def test_dual_far_target_is_infinite_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([1e8, 0.0], [-1e8, 3e7], [1e300, 1e300]):
+            res = quasipotential_dual(NONNORMAL_CONSTANT_JUMPS, [0.0, 0.0], x)
+            assert res.value == math.inf and res.converged
+        assert quasipotential_dual(NONNORMAL_CONSTANT_JUMPS, [0.0, 0.0], [30.0, 20.0]).value < 1e3
+
+
+def test_minimize_action_approaches_the_finite_horizon_dual():
+    # Each grid starts from the previous optimum, interpolated.
+    want = finite_horizon_dual(NONNORMAL_CONSTANT_JUMPS, NONNORMAL_TARGET, 5.0)
+    errors, init = [], None
+    for segments in (100, 200, 400):
+        if init is not None:
+            t = np.linspace(0.0, 5.0, segments + 1)
+            init = Path(5.0, np.column_stack([np.interp(t, init.times, init.points[:, i]) for i in range(2)]))
+        init, res = minimize_action(
+            NONNORMAL_CONSTANT_JUMPS, [0.0, 0.0], NONNORMAL_TARGET, 5.0, segments, init=init
+        )
+        assert res.converged
+        errors.append(abs(res.value - want))
+    assert errors[2] < errors[1] < errors[0]
+    assert errors[2] <= 1e-4
+
+
+@pytest.mark.xfail(strict=True, reason="the horizon sweep undershoots by 1.0e-2 and reports convergence")
+def test_horizon_sweep_reaches_the_stationary_dual():
+    want = quasipotential_dual(NONNORMAL_CONSTANT_JUMPS, [0.0, 0.0], NONNORMAL_TARGET).value
+    res = quasipotential(
+        NONNORMAL_CONSTANT_JUMPS, [0.0, 0.0], NONNORMAL_TARGET, sweep=(2.0, 5.0, 10.0, 20.0), num_segments=100
+    )
+    assert res.converged
+    assert res.value == pytest.approx(want, abs=1e-4)

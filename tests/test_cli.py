@@ -315,6 +315,26 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert (out_a / "rates.csv").read_bytes() == (out_b / "rates.csv").read_bytes()
 
 
+def test_repeated_convex_dual_runs_are_byte_identical(tmp_path):
+    payload = {
+        "dimension": 2,
+        "drift": {"kind": "linear", "matrix": [[-1.0, 3.0], [0.0, -2.0]]},
+        "diffusion": [[0.6, 0.0], [0.2, 0.5]],
+        "jumps": [{"rate": 1.0, "vector": [0.3, 0.2]}, {"rate": 0.6, "vector": [-0.1, 0.35]}],
+        "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "resolution": 3},
+        "evaluation_points": [[0.2, -0.7], [0.5, 0.5], [-0.3, 0.1]],
+    }
+    spec = write_spec(tmp_path, payload)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["rates", "--spec", spec, "--out", str(out_a)]) == 0
+    assert cli.main(["rates", "--spec", spec, "--out", str(out_b)]) == 0
+    assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+    assert (out_a / "rates.csv").read_bytes() == (out_b / "rates.csv").read_bytes()
+    report = json.loads((out_a / "report.json").read_text())
+    assert report["provenance"]["escape_cost_method"] == "convex_dual"
+    assert report["solver_runs"] == {"total": 3, "unconverged": 0}
+
+
 def test_rates_on_one_dimensional_jump_spec(tmp_path):
     payload = json.loads((SPECS / "ou1d.json").read_text())
     payload["jumps"] = [{"rate": 0.8, "vector": [0.4]}]

@@ -1,6 +1,7 @@
 """Problem-spec parsing, report assembly, and deterministic serialization."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +346,12 @@ PLANE_SPEC = {
 }
 
 
+AFFINE_JUMP_PLANE_SPEC = {
+    **PLANE_SPEC,
+    "jumps": [{"rate": 0.5, "vector": [0.2, 0.0], "matrix": [[0.1, 0.0], [0.0, 0.0]]}],
+}
+
+
 class MinimizerReached(Exception):
     pass
 
@@ -365,14 +372,38 @@ def test_one_dimensional_solves_skip_the_minimizer(monkeypatch):
     report, results = run_validate(spec)
     assert report.unconverged == 0 and len(results) == 1
     assert report.provenance["escape_cost_method"] == "hamiltonian_quadrature"
+    # linear drift without jump matrices takes the convex dual: I(r) = |r|^2
+    report = run_rates(parse_problem_spec(PLANE_SPEC))
+    assert report.provenance["escape_cost_method"] == "convex_dual"
+    assert report.evaluation_rates[0] == pytest.approx(0.25, abs=1e-14)
     with pytest.raises(MinimizerReached):
-        run_rates(parse_problem_spec(PLANE_SPEC))
+        run_rates(parse_problem_spec(AFFINE_JUMP_PLANE_SPEC))
 
 
 def test_provenance_names_the_minimizer_beyond_one_dimension(monkeypatch):
     record_solves(monkeypatch)
-    report = run_rates(parse_problem_spec(PLANE_SPEC))
+    report = run_rates(parse_problem_spec(AFFINE_JUMP_PLANE_SPEC))
     assert report.to_dict()["provenance"]["escape_cost_method"] == "minimum_action"
+    report = run_rates(parse_problem_spec(PLANE_SPEC))
+    assert report.to_dict()["provenance"]["escape_cost_method"] == "convex_dual"
+
+
+SHIPPED_METHODS = {
+    "asym_double_well": "hamiltonian_quadrature",
+    "double_well": "hamiltonian_quadrature",
+    "double_well_mc": "hamiltonian_quadrature",
+    "nonnormal2d": "convex_dual",
+    "ou1d": "hamiltonian_quadrature",
+}
+
+
+def test_shipped_specs_pin_their_escape_cost_method(monkeypatch):
+    record_solves(monkeypatch)
+    specs = Path(__file__).resolve().parents[1] / "specs"
+    assert sorted(p.stem for p in specs.glob("*.json")) == sorted(SHIPPED_METHODS)
+    for name, method in SHIPPED_METHODS.items():
+        report = run_rates(parse_problem_spec(json.loads((specs / f"{name}.json").read_text())))
+        assert report.provenance["escape_cost_method"] == method, name
 
 
 def test_run_validate_requires_simulation_section():
