@@ -155,10 +155,11 @@ def finite_horizon_path(
 
     Sampled at ``num_segments + 1`` uniform times as
     ``X_s = G_s e^{Db^T (T - s)} G_T^{-1} r``; the endpoint equals ``r`` up
-    to a single linear solve.  Horizons with ``decay_rate * T`` beyond the
-    double-precision exponent range are refused with a suggested maximum,
-    since results there could not be validated against the unstable
-    propagated form.
+    to a single linear solve.  Horizons with ``max |Re lambda(Db)| * T``
+    beyond the double-precision exponent range are refused with a suggested
+    maximum: the fastest mode, not the slowest ``decay_rate``, is the one
+    whose ``e^{-Db t}`` overflows first, and results there could not be
+    validated against the unstable propagated form.
     """
     r = np.asarray(displacement, dtype=float)
     if r.shape != (model.dim,):

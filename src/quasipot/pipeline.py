@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -64,9 +64,9 @@ from .maxplus import (
 )
 from .models import JumpAtom, LinearDrift, LocalModel, PolynomialDrift
 from .simulate import (
-    EmpiricalRate,
     SimConfig,
     SimulationBlowup,
+    ValidationReport,
     bin_centers,
     empirical_rate,
     simulate,
@@ -161,25 +161,15 @@ def _as_matrix(v, rows: int, cols: int | None, ctx: str) -> np.ndarray:
     return arr
 
 
+def _cycle_over(states: np.ndarray, replicas: int) -> np.ndarray:
+    """Starting states for ``replicas`` replicas: ``states``' rows, in turn."""
+    return states[np.arange(replicas) % states.shape[0]]
+
+
 @dataclass(frozen=True, eq=False)
 class SolverSettings:
     t_sweep: tuple[float, ...] = DEFAULT_SWEEP
     path_points: int = 400
-
-
-@dataclass(frozen=True, eq=False)
-class SimulationSpec:
-    n_values: tuple[int, ...]
-    dt: float
-    burn_in: float
-    horizon: float
-    seed: int
-    replicas: int
-    stride: int
-    bin_lower: np.ndarray
-    bin_upper: np.ndarray
-    bin_count: int
-    initial: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +191,8 @@ class ProblemSpec:
     failure_quota: float
     solver: SolverSettings
     evaluation_points: np.ndarray
-    simulation: SimulationSpec | None
+    simulation: SimConfig | None
+    bin_edges: list[np.ndarray] | None
     linear: LinearSpec | None
 
     def build_model(self) -> LocalModel:
@@ -301,7 +292,7 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         (-1, dim),
     )
 
-    simulation = None
+    simulation = bin_edges = None
     if "simulation" in top:
         s = _require_mapping(top["simulation"], "simulation")
         _check_fields(
@@ -310,10 +301,8 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
             required=["n_values", "dt", "burn_in", "horizon", "seed", "bins"],
             optional=["replicas", "stride", "initial"],
         )
-        n_raw = _as_list(s["n_values"], "simulation.n_values", nonempty=True)
+        n_raw = _as_list(s["n_values"], "simulation.n_values")
         n_values = tuple(_as_int(n, "simulation.n_values entry") for n in n_raw)
-        if any(n < 1 for n in n_values):
-            raise SpecError("simulation.n_values must be positive integers")
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise SpecError("simulation.n_values must be strictly increasing")
         bins = _require_mapping(s["bins"], "simulation.bins")
@@ -325,45 +314,29 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         bin_count = _as_int(bins["count"], "simulation.bins.count")
         if bin_count < 2:
             raise SpecError("simulation.bins.count must be at least 2")
+        bin_edges = [np.linspace(lo, hi, bin_count + 1) for lo, hi in zip(bin_lower, bin_upper)]
+        replicas = _as_int(s.get("replicas", 1), "simulation.replicas")
         initial = None
         if "initial" in s:
             states = _as_list(s["initial"], "simulation.initial", nonempty=True)
-            initial = np.stack(
-                [_as_vector(p, dim, f"simulation.initial[{i}]") for i, p in enumerate(states)]
+            initial = _cycle_over(
+                np.stack([_as_vector(p, dim, f"simulation.initial[{i}]") for i, p in enumerate(states)]),
+                replicas,
             )
-        replicas = _as_int(s.get("replicas", 1), "simulation.replicas")
-        stride = _as_int(s.get("stride", 1), "simulation.stride")
-        if replicas < 1 or stride < 1:
-            raise SpecError("simulation.replicas and simulation.stride must be positive")
-        simulation = SimulationSpec(
+        fields = dict(
             n_values=n_values,
-            dt=_as_positive(s["dt"], "simulation.dt"),
+            dt=_as_float(s["dt"], "simulation.dt"),
             burn_in=_as_float(s["burn_in"], "simulation.burn_in"),
-            horizon=_as_positive(s["horizon"], "simulation.horizon"),
+            horizon=_as_float(s["horizon"], "simulation.horizon"),
             seed=_as_int(s["seed"], "simulation.seed"),
-            replicas=replicas,
-            stride=stride,
-            bin_lower=bin_lower,
-            bin_upper=bin_upper,
-            bin_count=bin_count,
             initial=initial,
+            replicas=replicas,
+            stride=_as_int(s.get("stride", 1), "simulation.stride"),
         )
-        if not (0 <= simulation.burn_in < simulation.horizon):
-            raise SpecError("simulation needs 0 <= burn_in < horizon")
-        if simulation.seed < 0:
-            raise SpecError(f"simulation.seed must be non-negative, got {simulation.seed}")
-        # SimConfig's step counts: fewer steps than one stride record no sample
-        dt = simulation.dt
-        if not math.isfinite(simulation.horizon / dt):
-            raise SpecError(
-                f"simulation.dt {dt} is too small: horizon / dt is not a finite step count"
-            )
-        steps = round(simulation.horizon / dt) - round(simulation.burn_in / dt)
-        if steps < stride:
-            raise SpecError(
-                f"simulation.stride {stride} exceeds the {steps} steps after burn-in; "
-                "lengthen the horizon or shrink the stride"
-            )
+        try:
+            simulation = SimConfig(**fields)
+        except ValueError as exc:
+            raise SpecError(f"invalid simulation: {exc}") from None
 
     linear = None
     if "linear" in top:
@@ -398,6 +371,7 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         solver=solver,
         evaluation_points=evaluation,
         simulation=simulation,
+        bin_edges=bin_edges,
         linear=linear,
     )
 
@@ -745,96 +719,68 @@ def rates_csv_rows(report: RateReport) -> tuple[list[str], list[list[object]]]:
     return header, rows
 
 
-def _bin_edges(sim: SimulationSpec) -> list[np.ndarray]:
-    return [
-        np.linspace(lo, hi, sim.bin_count + 1)
-        for lo, hi in zip(sim.bin_lower, sim.bin_upper)
-    ]
-
-
 def run_validate(
     spec: ProblemSpec, seed: int | None = None
-) -> tuple[RateReport, list[ValidationRunResult]]:
+) -> tuple[RateReport, list[ValidationReport]]:
     """Predictions from :func:`run_rates` against a simulation ladder.
 
-    The bin-center escape costs join the batch of solves of the `rates`
-    report, so they count toward its failure quota and ``solver_runs``.
-    One :func:`simulate` call runs the whole ``simulation.n_values`` ladder;
-    each rung's sample cloud gives an empirical rate estimate on the spec
-    bins and a comparison against the predicted rate at the populated bin
-    centers.
+    ``seed`` overrides ``simulation.seed`` and passes the same check, before
+    any solve.  The bin-center escape costs join the batch of solves of the
+    `rates` report, so they count toward its failure quota and
+    ``solver_runs``.  Replicas start from the spec's ``simulation.initial``
+    rows or else from the stable attractors, in turn.  One :func:`simulate`
+    call runs the whole ``simulation.n_values`` ladder; each rung's sample
+    cloud gives an empirical rate estimate on the spec bins, compared
+    against the predicted rate at the populated bin centers.
     """
     if spec.simulation is None:
         raise SpecError("validate requires a 'simulation' section in the problem spec")
-    sim = spec.simulation
-    use_seed = sim.seed if seed is None else seed
-    if use_seed < 0:
-        raise SpecError(f"seed must be non-negative, got {use_seed}")
-    edges = _bin_edges(sim)
-    report, model, predicted = _solve_rates(spec, bin_centers(edges))
-
-    if sim.initial is not None:
-        initial = sim.initial
-    else:
-        initial = np.stack([eq.position for eq in report.attractors])
-    reps = sim.replicas
-    if initial.shape[0] != reps:
-        initial = initial[np.arange(reps) % initial.shape[0]]
-
-    config = SimConfig(
-        n_values=sim.n_values,
-        dt=sim.dt,
-        burn_in=sim.burn_in,
-        horizon=sim.horizon,
-        seed=use_seed,
-        initial=initial,
-        replicas=reps,
-        stride=sim.stride,
-    )
+    config = spec.simulation
+    if seed is not None:
+        try:
+            config = replace(config, seed=seed)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
+    report, model, predicted = _solve_rates(spec, bin_centers(spec.bin_edges))
+    if config.initial is None:
+        attractors = np.stack([eq.position for eq in report.attractors])
+        config = replace(config, initial=_cycle_over(attractors, config.replicas))
     try:
         ladder = simulate(model, config)
     except SimulationBlowup as exc:
         raise SolverError(f"simulation at n={exc.n} failed: {exc}") from exc
-    results: list[ValidationRunResult] = []
-    for n, samples in zip(sim.n_values, ladder):
+    results = []
+    for n, samples in zip(config.n_values, ladder):
         try:
-            emp = empirical_rate(samples, edges, n)
+            emp = empirical_rate(samples, spec.bin_edges, n)
         except ValueError as exc:
             # too few samples is a sizing problem in the simulation section
             raise SpecError(str(exc)) from None
-        rep = validation_report(predicted, emp)
-        results.append(ValidationRunResult(n=n, empirical=emp, report=rep))
+        results.append(validation_report(predicted, emp))
     return report, results
 
 
-@dataclass(frozen=True, eq=False)
-class ValidationRunResult:
-    n: int
-    empirical: EmpiricalRate
-    report: object  # ValidationReport
-
-    def summary(self) -> dict:
-        return {
-            "n": self.n,
-            "sup_error": self.report.sup_error,
-            "bins_compared": int(self.report.predicted.shape[0]),
-            "censored_bins": self.report.censored_bins,
-            "degenerate": self.empirical.degenerate,
-        }
-
-
-def validation_dict(report: RateReport, results: list[ValidationRunResult]) -> dict:
-    sups = [r.report.sup_error for r in results]
+def validation_dict(report: RateReport, results: list[ValidationReport]) -> dict:
+    sups = [r.sup_error for r in results]
     out = report.to_dict()
     out["validation"] = {
-        "runs": [r.summary() for r in results],
+        "runs": [
+            {
+                "n": r.n,
+                "sup_error": r.sup_error,
+                "bins_compared": int(r.predicted.shape[0]),
+                "censored_bins": r.censored_bins,
+                "degenerate": r.empirical.degenerate,
+            }
+            for r in results
+        ],
         "sup_errors": sups,
         "monotone_trend": all(b <= a for a, b in zip(sups, sups[1:])),
     }
     return out
 
 
-def empirical_csv_rows(results: list[ValidationRunResult]) -> tuple[list[str], list[list[object]]]:
+def empirical_csv_rows(results: list[ValidationReport]) -> tuple[list[str], list[list[object]]]:
     d = results[0].empirical.centers.shape[1]
     header = ["n"] + [f"c{i}" for i in range(d)] + ["count", "rate"]
     rows: list[list[object]] = []

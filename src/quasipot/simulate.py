@@ -54,12 +54,15 @@ class SimulationBlowup(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Parameters of one simulation ladder.
+    """Parameters of one simulation ladder, and the one place of their rules.
 
     ``n_values`` are the large-deviation scales of the ladder's rungs: noise
     variance shrinks like ``1/n``.  Samples are recorded every ``stride``
-    steps after ``burn_in`` time has elapsed.  ``initial`` is one state for
-    all replicas or one per replica; every rung starts from the same states.
+    steps after ``burn_in`` time has elapsed; the run must record at least
+    one.  ``initial`` is one state for all replicas or one per replica;
+    every rung starts from the same states.  ``initial=None`` leaves the
+    states for the caller to fill in with :func:`dataclasses.replace`;
+    :func:`simulate` refuses it.
     """
 
     n_values: tuple[int, ...]
@@ -67,7 +70,7 @@ class SimConfig:
     burn_in: float
     horizon: float
     seed: int
-    initial: np.ndarray
+    initial: np.ndarray | None
     replicas: int = 1
     stride: int = 1
 
@@ -77,13 +80,24 @@ class SimConfig:
             raise ValueError("n_values must be a non-empty sequence of positive integers")
         object.__setattr__(self, "n_values", n_values)
         if not (self.dt > 0) or not math.isfinite(self.dt):
-            raise ValueError("dt must be positive and finite")
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (0 <= self.burn_in < self.horizon):
             raise ValueError("need 0 <= burn_in < horizon")
         if not math.isfinite(self.horizon / self.dt):
-            raise ValueError("horizon / dt must be a finite step count")
+            raise ValueError(
+                f"horizon / dt is not a finite step count (horizon {self.horizon}, dt {self.dt})"
+            )
         if self.replicas < 1 or self.stride < 1:
             raise ValueError("replicas and stride must be positive integers")
+        if self.snapshots < 1:
+            raise ValueError(
+                f"stride {self.stride} exceeds the {self.num_steps - self.burn_steps} steps "
+                "after burn-in; lengthen the horizon or shrink the stride"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.initial is None:
+            return
         init = np.atleast_1d(np.asarray(self.initial, dtype=float))
         if init.ndim == 1:
             init = np.broadcast_to(init, (self.replicas, init.shape[0])).copy()
@@ -103,6 +117,11 @@ class SimConfig:
     @property
     def burn_steps(self) -> int:
         return int(round(self.burn_in / self.dt))
+
+    @property
+    def snapshots(self) -> int:
+        """Samples recorded per replica and rung."""
+        return (self.num_steps - self.burn_steps) // self.stride
 
 
 def _replica_rngs(seed: int, replicas: int) -> list[np.random.Generator]:
@@ -124,6 +143,8 @@ def simulate(model: LocalModel, config: SimConfig) -> np.ndarray:
     its normals.
     """
     d = model.dim
+    if config.initial is None:
+        raise ValueError("initial states are not set")
     if config.initial.shape[1] != d:
         raise ValueError(
             f"initial states have dimension {config.initial.shape[1]}, model has {d}"
@@ -134,9 +155,7 @@ def simulate(model: LocalModel, config: SimConfig) -> np.ndarray:
     reps = config.replicas
     total_steps = config.num_steps
     burn = config.burn_steps
-    snapshots = max(total_steps - burn, 0) // config.stride
-    if not snapshots:
-        raise ValueError("no samples collected; lengthen the horizon or shrink the stride")
+    snapshots = config.snapshots
     sigma = model.diffusion
     m = sigma.shape[1]
     nu = model.jump_rates
@@ -266,29 +285,36 @@ def bin_centers(edges: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Point-by-point comparison of predicted and empirical rates.
+    """One rung's empirical estimate, compared point by point with a prediction.
 
     Both curves are shifted to minimum 0 over the common populated support
     before differencing; the large-deviation prediction is only defined up
     to that normalization, and so is the histogram estimate.  Censored bins
     (no samples) are excluded from the error norms rather than treated as
-    disagreement at infinity.
+    disagreement at infinity.  ``predicted``, ``observed`` and
+    ``abs_errors`` hold one entry per populated bin of ``empirical``.
     """
 
-    n: int
-    centers: np.ndarray
+    empirical: EmpiricalRate
     predicted: np.ndarray
-    empirical: np.ndarray
+    observed: np.ndarray
     abs_errors: np.ndarray
     sup_error: float
-    censored_bins: int
 
     def __post_init__(self) -> None:
-        for name in ("centers", "predicted", "empirical", "abs_errors"):
+        for name in ("predicted", "observed", "abs_errors"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-        if not (self.predicted.shape == self.empirical.shape == self.abs_errors.shape):
+        if not (self.predicted.shape == self.observed.shape == self.abs_errors.shape):
             raise ValueError("prediction/empirical/error arrays must align")
+
+    @property
+    def n(self) -> int:
+        return self.empirical.n
+
+    @property
+    def censored_bins(self) -> int:
+        return int((~self.empirical.populated).sum())
 
 
 def validation_report(predicted: np.ndarray, empirical: EmpiricalRate) -> ValidationReport:
@@ -312,11 +338,9 @@ def validation_report(predicted: np.ndarray, empirical: EmpiricalRate) -> Valida
     emp_shift = emp - emp.min()
     err = np.abs(pred_shift - emp_shift)
     return ValidationReport(
-        n=empirical.n,
-        centers=empirical.centers[pop],
+        empirical=empirical,
         predicted=pred_shift,
-        empirical=emp_shift,
+        observed=emp_shift,
         abs_errors=err,
         sup_error=float(err.max()),
-        censored_bins=int((~pop).sum()),
     )

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import AnalyticDrift, make_cost_matrix, min_in_tree_cost_bruteforce
 from quasipot import cli
-from quasipot.action import local_lagrangian, quasipotential
+from quasipot.action import local_lagrangian, quasipotential, quasipotential_1d
 from quasipot.attractors import SearchBox, find_equilibria, stable_attractors
 from quasipot.linear import (
     LinearModel,
@@ -247,16 +247,19 @@ def test_criterion_08_monte_carlo_ladder(verdict):
     drift = AnalyticDrift(field, jacobian)
     model = LocalModel(1, drift, np.eye(1))
     box = SearchBox(np.array([-2.0]), np.array([2.0]), 13)
-    attractors = stable_attractors(find_equilibria(drift, box))
-    positions = [eq.position for eq in attractors]
+    equilibria = find_equilibria(drift, box)
+    positions = [eq.position for eq in stable_attractors(equilibria)]
     assert len(positions) == 2
+
+    # the escape costs come from the method `validate` uses in one dimension
+    def escape_cost(source, target):
+        return quasipotential_1d(
+            model, source, target, breakpoints=[eq.position[0] for eq in equilibria]
+        ).value
 
     entries = np.zeros((2, 2))
     for i, j in ((0, 1), (1, 0)):
-        entries[i, j] = quasipotential(
-            model, positions[i], positions[j],
-            sweep=(2.0, 5.0, 10.0, 20.0), num_segments=200,
-        ).value
+        entries[i, j] = escape_cost(positions[i], positions[j])
     rates = stationary_rates(shortest_path_closure(CostMatrix(("a0", "a1"), entries)))
 
     # wide support on purpose: every n then truncates its own tail inside
@@ -267,10 +270,7 @@ def test_criterion_08_monte_carlo_ladder(verdict):
     costs_to = np.zeros((centers.size, 2))
     for i, pos in enumerate(positions):
         for k, c in enumerate(centers):
-            costs_to[k, i] = quasipotential(
-                model, pos, np.array([c]),
-                sweep=(2.0, 5.0, 10.0, 20.0), num_segments=160,
-            ).value
+            costs_to[k, i] = escape_cost(pos, np.array([c]))
     predicted = np.array([evaluate_rate(rates, row) for row in costs_to])
     # theory check on our own prediction: the barrier height is 0.0375, so
     # the rate at the saddle is twice that

@@ -599,3 +599,16 @@ def test_horizon_sweep_reaches_the_stationary_dual():
     )
     assert res.converged
     assert res.value == pytest.approx(want, abs=1e-4)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="horizon 20 is too short to cross the weak drift: the sweep reports 1.109542, converged, against 1.037165",
+)
+def test_horizon_sweep_crosses_a_weak_double_well():
+    # criterion 8's model, b(y) = 0.15 (y - y^3) with sigma = 1, to its outermost bin center
+    model = LocalModel(1, PolynomialDrift([0.0, 0.15, 0.0, -0.15]), np.eye(1))
+    want = quasipotential_1d(model, [-1.0], [2.1405], breakpoints=[-1.0, 0.0, 1.0]).value
+    res = quasipotential(model, [-1.0], [2.1405], sweep=(2.0, 5.0, 10.0, 20.0), num_segments=160)
+    assert res.converged
+    assert res.value == pytest.approx(want, abs=1e-3)

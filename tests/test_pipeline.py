@@ -21,6 +21,7 @@ from quasipot.pipeline import (
     run_validate,
     validation_dict,
 )
+from quasipot.simulate import SimConfig
 
 
 def ou_spec_dict(**extra):
@@ -151,6 +152,29 @@ def test_simulation_section_validation():
     raw["simulation"]["burn_in"] = 10.0
     with pytest.raises(SpecError, match="burn_in"):
         parse_problem_spec(raw)
+
+
+#: Simulation values `SimConfig` refuses; SMALL_LADDER records 14,800 steps after burn-in.
+REFUSED_SIMULATION_VALUES = {
+    "negative-seed": {"seed": -1},
+    "stride-past-horizon": {"stride": 14_801},
+    "nan-burn-in": {"burn_in": float("nan")},
+    "subnormal-dt": {"dt": 1e-310},
+    "no-replicas": {"replicas": 0},
+    "burn-in-at-horizon": {"burn_in": 150.0},
+}
+
+
+@pytest.mark.parametrize(
+    "edit", REFUSED_SIMULATION_VALUES.values(), ids=REFUSED_SIMULATION_VALUES.keys()
+)
+def test_simulation_values_are_refused_by_simconfig_and_the_parser(edit):
+    fields = {**SMALL_LADDER, **edit}
+    del fields["bins"]
+    with pytest.raises(ValueError):
+        SimConfig(**fields, initial=np.zeros(1))
+    with pytest.raises(SpecError, match="simulation"):
+        parse_problem_spec(ou_spec_dict(simulation={**SMALL_LADDER, **edit}))
 
 
 def test_drift_catalog_evaluation():
@@ -418,7 +442,7 @@ def test_run_validate_small_ladder():
     assert len(results) == 1
     run = results[0]
     assert run.n == 30
-    assert run.report.sup_error < 0.12
+    assert run.sup_error < 0.12
     payload = validation_dict(report, results)
     assert payload["validation"]["runs"][0]["n"] == 30
     assert payload["validation"]["monotone_trend"] is True
@@ -520,3 +544,36 @@ def test_dump_json_is_sorted_and_json_readable():
 def test_dump_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         dump_json({"x": object()})
+
+
+class SimulationReached(Exception):
+    pass
+
+
+def simulated_config(monkeypatch, raw) -> SimConfig:
+    """The config `run_validate` passes to `simulate`, which then stops the run."""
+    import quasipot.pipeline as pipeline
+
+    configs = []
+
+    def capture(model, config):
+        configs.append(config)
+        raise SimulationReached
+
+    monkeypatch.setattr(pipeline, "simulate", capture)
+    record_solves(monkeypatch)
+    with pytest.raises(SimulationReached):
+        run_validate(parse_problem_spec(raw))
+    return configs[0]
+
+
+def test_initial_rows_are_cycled_over_the_replicas(monkeypatch):
+    ladder = {**SMALL_LADDER, "replicas": 5, "initial": [[-0.5], [0.25]]}
+    config = simulated_config(monkeypatch, ou_spec_dict(simulation=ladder))
+    assert config.initial.tolist() == [[-0.5], [0.25], [-0.5], [0.25], [-0.5]]
+
+
+def test_attractors_are_cycled_over_the_replicas_by_default(monkeypatch):
+    ladder = {**SMALL_LADDER, "replicas": 5}
+    config = simulated_config(monkeypatch, double_well_spec_dict(simulation=ladder))
+    np.testing.assert_allclose(config.initial, [[-1.0], [1.0], [-1.0], [1.0], [-1.0]], atol=1e-9)

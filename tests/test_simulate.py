@@ -62,6 +62,12 @@ def test_config_validation():
         base_config(initial=np.zeros((3, 1)))  # neither (d,) nor (replicas, d)
 
 
+def test_simulate_refuses_unset_initial_states():
+    cfg = base_config(initial=None)  # left for the caller to fill in
+    with pytest.raises(ValueError, match="initial"):
+        simulate(ou_model(), cfg)
+
+
 def test_sample_count_arithmetic():
     cfg = base_config()
     x = simulate(ou_model(), cfg)[0]
