@@ -3,10 +3,9 @@
 The package is organized around the cost-form (min-plus) calculus of escape
 costs between attractors of the zero-noise flow:
 
-- :mod:`quasipot.maxplus`: cost matrices, their min-plus closure, the flux
+- :mod:`quasipot.maxplus`: cost matrices, their min-plus closure, the
+  unique balanced stationary rates by min-plus state elimination, the flux
   balance check and rate evaluation on a finite attractor set.
-- :mod:`quasipot.trees`: in-trees and the minimum-arborescence solver that
-  produces the unique balanced stationary rates.
 - :mod:`quasipot.models`: jump-diffusion model containers.
 - :mod:`quasipot.action`: the path action functional and its minimization,
   giving inter-attractor quasipotentials, their exact one-dimensional
@@ -26,11 +25,6 @@ from .maxplus import (
     StationaryRates,
     evaluate_rate,
     shortest_path_closure,
-)
-from .trees import (
-    InTree,
-    TreeCost,
-    min_arborescence,
     stationary_rates,
 )
 from .models import JumpAtom, LinearDrift, LocalModel, Path, PolynomialDrift
@@ -59,7 +53,6 @@ __all__ = [
     "CostMatrix",
     "EmpiricalRate",
     "Equilibrium",
-    "InTree",
     "JumpAtom",
     "LinearDrift",
     "LinearModel",
@@ -69,7 +62,6 @@ __all__ = [
     "SearchBox",
     "SimConfig",
     "StationaryRates",
-    "TreeCost",
     "ValidationReport",
     "empirical_rate",
     "escape_profile_limit",
@@ -79,7 +71,6 @@ __all__ = [
     "finite_horizon_path",
     "local_lagrangian",
     "lyapunov_gramian",
-    "min_arborescence",
     "minimize_action",
     "path_action",
     "quadratic_rate",

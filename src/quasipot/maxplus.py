@@ -12,8 +12,10 @@ The central objects are a matrix of pairwise escape costs between
 attractors, a vector of stationary rates on the attractors, and the balance
 equations coupling them: for every bipartition of the attractor set the
 cheapest flux crossing it one way must equal the cheapest flux crossing it
-back.  :func:`max_balance_residual` checks all of them at once, as arrays
-indexed by the bitmask of one side of the cut.
+back.  :func:`stationary_rates` finds the unique rates that satisfy them, the
+cheapest in-tree totals, by eliminating attractors one at a time, and
+:func:`max_balance_residual` checks all of them at once, as arrays indexed
+by the bitmask of one side of the cut.
 """
 
 from __future__ import annotations
@@ -199,3 +201,51 @@ def shortest_path_closure(costs: CostMatrix) -> CostMatrix:
         # so no masking is needed.
         np.minimum(a, a[:, k, None] + a[None, k, :], out=a)
     return CostMatrix(costs.labels, a)
+
+
+def stationary_rates(costs: CostMatrix) -> StationaryRates:
+    """Unique balanced stationary rates, by min-plus state elimination.
+
+    The rate of attractor ``a`` is ``W(a) - min W``, where ``W(a)`` is the
+    cheapest total cost of an in-tree rooted at ``a`` (every other attractor
+    pointing along cost edges toward ``a``).  ``W`` comes from the small-noise
+    limit of the Grassmann-Taksar-Heyman state reduction of a chain with
+    transition rates ``exp(-I / eps)``.  That reduction only adds, multiplies
+    and divides positive numbers, so its limit is exact and each step is one
+    min-plus update.
+
+    Attractors are eliminated in the order of ``costs.labels``.  Eliminating
+    ``k``, with cheapest exit ``m_k = min_{l alive, l != k} I(k, l)``, reroutes
+    every alive pair through it:
+    ``I(i, j) <- min(I(i, j), I(i, k) + I(k, j) - m_k)``.  An
+    attractor with no finite exit is skipped; it never gains one.  The one
+    attractor left has ``W = 0``, and back-substitution in reverse order sets
+    ``W(k) = min_i (W(i) + I(i, k)) - m_k`` over the attractors alive when
+    ``k`` was eliminated, with the column ``I(., k)`` kept from that moment.
+    At least one rate is exactly 0.  Raises when two attractors are left,
+    which happens exactly when every in-tree total is infinite: the cost
+    graph splits into parts that cannot reach each other at all.
+    """
+    c = costs.entries.copy()
+    alive = np.ones(costs.size, dtype=bool)
+    steps = []  # (k, alive others, their kept column I(., k), m_k)
+    for k in range(costs.size):
+        alive[k] = False
+        others = np.flatnonzero(alive)
+        exit_cost = c[k, others].min(initial=math.inf)
+        if math.isinf(exit_cost):
+            alive[k] = True
+            continue
+        column = c[others, k]
+        block = np.ix_(others, others)
+        c[block] = np.minimum(c[block], (column[:, None] + c[k, others][None, :]) - exit_cost)
+        steps.append((k, others, column, exit_cost))
+    if np.count_nonzero(alive) > 1:
+        raise ValueError(
+            "every root has infinite in-tree cost; the attractor graph is "
+            "disconnected in both directions and stationary rates are not defined"
+        )
+    w = np.where(alive, 0.0, math.inf)
+    for k, others, column, exit_cost in reversed(steps):
+        w[k] = np.min(w[others] + column) - exit_cost
+    return StationaryRates(costs.labels, w - w.min())

@@ -61,6 +61,7 @@ from .maxplus import (
     evaluate_rate,
     max_balance_residual,
     shortest_path_closure,
+    stationary_rates,
 )
 from .models import JumpAtom, LinearDrift, LocalModel, PolynomialDrift
 from .simulate import (
@@ -72,7 +73,6 @@ from .simulate import (
     simulate,
     validation_report,
 )
-from .trees import stationary_rates
 
 
 class SpecError(ValueError):
@@ -319,6 +319,11 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         initial = None
         if "initial" in s:
             states = _as_list(s["initial"], "simulation.initial", nonempty=True)
+            if len(states) > replicas:
+                raise SpecError(
+                    f"simulation.initial has {len(states)} rows but simulation.replicas "
+                    f"is {replicas}; every row must start a replica"
+                )
             initial = _cycle_over(
                 np.stack([_as_vector(p, dim, f"simulation.initial[{i}]") for i, p in enumerate(states)]),
                 replicas,

@@ -8,10 +8,14 @@ The oracles are the direct loop forms of what ``src/`` computes faster:
 ``max_balance_residual_loop`` enumerates every bipartition and prices both
 fluxes with ``cost_flux``, and ``min_in_tree_cost_bruteforce`` enumerates
 every in-tree.  They stay here, out of the package, as the references for
-``maxplus.max_balance_residual`` and ``trees.min_arborescence``.
+``maxplus.max_balance_residual`` and ``maxplus.stationary_rates``, whose
+rates are the in-tree totals minus their minimum.
 
 ``finite_horizon_dual`` is the exact fixed-horizon escape cost of a linear
 drift with constant jumps, the reference for ``action.minimize_action``.
+``RotatedAffineJumps.cost`` is the exact escape cost of a rotated product
+of 1-D OU processes with one affine jump per axis, the reference for the
+pipeline's ``minimum_action`` route.
 """
 
 import itertools
@@ -24,8 +28,9 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+from quasipot.action import quasipotential_1d
 from quasipot.maxplus import CostMatrix, StationaryRates
-from quasipot.trees import InTree, TreeCost, tree_total
+from quasipot.models import JumpAtom, LinearDrift, LocalModel
 
 @dataclass(frozen=True)
 class AnalyticDrift:
@@ -77,6 +82,65 @@ def finite_horizon_dual(model, target: Sequence[float], horizon: float) -> float
     # trust-exact may stop at rounding short of its gtol; the gradient decides
     assert np.abs(res.jac).max() <= 1e-9, res.message
     return -float(res.fun)
+
+
+@dataclass(frozen=True)
+class RotatedAffineJumps:
+    """A rotated product of 1-D OU processes with one affine jump channel per axis.
+
+    In coordinates ``y = R^T x``, with ``R`` the rotation by ``theta``, axis
+    ``i`` has drift ``-k_i y_i``, noise ``sigma_i`` and jumps of size
+    ``alpha_i + mu_i y_i`` along the axis at rate ``nu_i``.  In ``x`` the
+    drift is ``R diag(-k) R^T``, the diffusion ``R diag(sigma)``, and channel
+    ``i`` jumps by ``alpha_i R e_i + mu_i R e_i e_i^T R^T x``.  The
+    Hamiltonian separates by axis, so ``V(0, x) = sum_i V_i((R^T x)_i)``
+    with each ``V_i`` the exact 1-D quadrature ``quasipotential_1d``.
+    """
+
+    theta: float = 0.6
+    k: tuple[float, float] = (1.0, 0.5)
+    sigma: tuple[float, float] = (1.0, 0.7)
+    alpha: tuple[float, float] = (0.4, -0.3)
+    mu: tuple[float, float] = (0.3, -0.2)
+    nu: tuple[float, float] = (0.8, 0.5)
+
+    @property
+    def rotation(self) -> np.ndarray:
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        return np.array([[c, -s], [s, c]])
+
+    def spec_fields(self) -> dict:
+        """The ``dimension``, ``drift``, ``diffusion`` and ``jumps`` of a problem spec."""
+        r = self.rotation
+        return {
+            "dimension": 2,
+            "drift": {"kind": "linear", "matrix": (r @ np.diag(-np.array(self.k)) @ r.T).tolist()},
+            "diffusion": (r @ np.diag(self.sigma)).tolist(),
+            "jumps": [
+                {
+                    "rate": self.nu[i],
+                    "vector": (self.alpha[i] * r[:, i]).tolist(),
+                    "matrix": (self.mu[i] * np.outer(r[:, i], r[:, i])).tolist(),
+                }
+                for i in range(2)
+            ],
+        }
+
+    def cost(self, x: Sequence[float]) -> float:
+        """Exact escape cost from the origin to ``x``."""
+        y = self.rotation.T @ np.asarray(x, dtype=float)
+        total = 0.0
+        for i in range(2):
+            axis = LocalModel(
+                1,
+                LinearDrift([[-self.k[i]]]),
+                [[self.sigma[i]]],
+                (JumpAtom(self.nu[i], [self.alpha[i]], [[self.mu[i]]]),),
+            )
+            res = quasipotential_1d(axis, [0.0], [y[i]], breakpoints=[0.0])
+            assert res.converged
+            total += res.value
+        return total
 
 
 #: Largest attractor set for which exhaustive in-tree enumeration is allowed
@@ -189,40 +253,38 @@ def _is_in_tree(children: list[int], parents: tuple[int, ...], root: int) -> boo
     return True
 
 
-def enumerate_in_trees(labels: tuple[str, ...], root: str) -> Iterator[InTree]:
+def enumerate_in_trees(labels: tuple[str, ...], root: str) -> Iterator[dict[str, str]]:
     """Yield every in-tree on ``labels`` rooted at ``root`` exactly once.
 
-    Trees appear in lexicographic order of their parent map read along the
-    non-root labels in the order given.  Sets larger than
-    ``MAX_ENUMERATION_SIZE`` are refused.
+    A tree is its parent map, child label to parent label, and following
+    parents from any label reaches ``root``.  Trees appear in lexicographic
+    order of their parent map read along the non-root labels in the order
+    given.  Sets larger than ``MAX_ENUMERATION_SIZE`` are refused.
     """
     children, maps = _parent_maps(labels, root)
     r = labels.index(root)
     for parents in maps:
         if _is_in_tree(children, parents, r):
-            yield InTree(root, {labels[c]: labels[p] for c, p in zip(children, parents)})
+            yield {labels[c]: labels[p] for c, p in zip(children, parents)}
 
 
-def min_in_tree_cost_bruteforce(costs: CostMatrix, root: str) -> TreeCost:
-    """Exact minimum in-tree cost by exhaustive enumeration.
+def min_in_tree_cost_bruteforce(costs: CostMatrix, root: str) -> float:
+    """Exact minimum in-tree total cost by exhaustive enumeration.
 
-    Each total sums ``I(child, parent)`` in sorted child-label order, as
-    :func:`tree_total` does, so the totals are equal to its.  Ties resolve to
-    the first tree :func:`enumerate_in_trees` yields.  Only a map that would
-    improve on the best total is checked for cycles, and only the winner is
-    built as an :class:`InTree`.
+    Each total sums ``I(child, parent)`` in sorted child-label order; it is
+    ``inf`` when no in-tree rooted at ``root`` has finite cost.  Only a map
+    that would improve on the best total is checked for cycles.
     """
     labels = costs.labels
     children, maps = _parent_maps(labels, root)
     rows = costs.entries.tolist()
     order = sorted(range(len(children)), key=lambda k: labels[children[k]])
     r = labels.index(root)
-    best = None
+    best = math.inf
     for parents in maps:
         total = 0.0
         for k in order:
             total += rows[children[k]][parents[k]]
-        if (best is None or total < best[0]) and _is_in_tree(children, parents, r):
-            best = (total, parents)
-    total, parents = best
-    return TreeCost(InTree(root, {labels[c]: labels[p] for c, p in zip(children, parents)}), total)
+        if total < best and _is_in_tree(children, parents, r):
+            best = total
+    return best

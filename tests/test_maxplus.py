@@ -20,9 +20,9 @@ from quasipot.maxplus import (
     evaluate_rate,
     max_balance_residual,
     shortest_path_closure,
+    stationary_rates,
 )
 from quasipot.pipeline import BALANCE_TOL
-from quasipot.trees import stationary_rates
 
 WORKED = np.array([[0.0, 2.0, 5.0], [1.0, 0.0, 3.0], [4.0, 2.0, 0.0]])
 WORKED_CLOSED = np.array([[0.0, 2.0, 5.0], [1.0, 0.0, 3.0], [3.0, 2.0, 0.0]])

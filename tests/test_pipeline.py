@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import RotatedAffineJumps
 from quasipot.pipeline import (
     BalanceError,
     SolverError,
@@ -412,6 +413,24 @@ def test_provenance_names_the_minimizer_beyond_one_dimension(monkeypatch):
     assert report.to_dict()["provenance"]["escape_cost_method"] == "convex_dual"
 
 
+def test_minimum_action_route_matches_the_rotated_affine_jump_oracle():
+    oracle = RotatedAffineJumps()
+    points = [[1.0, 0.5], [0.3, 0.3]]
+    spec = parse_problem_spec(
+        {
+            **oracle.spec_fields(),
+            "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "resolution": 3},
+            "solver": {"t_sweep": [2.0, 5.0, 10.0], "path_points": 100},
+            "evaluation_points": points,
+        }
+    )
+    report = run_rates(spec)
+    assert report.provenance["escape_cost_method"] == "minimum_action"
+    assert report.unconverged == 0
+    for x, rate in zip(points, report.evaluation_rates):
+        assert abs(rate - oracle.cost(x)) <= 1e-3
+
+
 SHIPPED_METHODS = {
     "asym_double_well": "hamiltonian_quadrature",
     "double_well": "hamiltonian_quadrature",
@@ -571,6 +590,13 @@ def test_initial_rows_are_cycled_over_the_replicas(monkeypatch):
     ladder = {**SMALL_LADDER, "replicas": 5, "initial": [[-0.5], [0.25]]}
     config = simulated_config(monkeypatch, ou_spec_dict(simulation=ladder))
     assert config.initial.tolist() == [[-0.5], [0.25], [-0.5], [0.25], [-0.5]]
+
+
+def test_more_initial_rows_than_replicas_is_a_spec_error():
+    ladder = {k: v for k, v in SMALL_LADDER.items() if k != "replicas"}
+    ladder["initial"] = [[-1.0], [1.0]]
+    with pytest.raises(SpecError, match=r"simulation\.initial has 2 rows .*simulation\.replicas is 1"):
+        parse_problem_spec(ou_spec_dict(simulation=ladder))
 
 
 def test_attractors_are_cycled_over_the_replicas_by_default(monkeypatch):

@@ -1,7 +1,9 @@
-"""Minimum in-trees: the exhaustive oracle in ``conftest`` against Chu-Liu/Edmonds.
+"""Stationary rates by state elimination against the exhaustive in-tree oracle.
 
-The 3x3 worked example matches the one in test_maxplus: in-tree totals
-(3, 4, 5) on the closed matrix, hence stationary rates (0, 1, 2).
+The rates are the minimum in-tree totals per root, found by enumeration in
+``conftest``, minus their minimum.  The 3x3 worked example matches the one
+in test_maxplus: in-tree totals (3, 4, 5) on the closed matrix, hence
+stationary rates (0, 1, 2).
 """
 
 import numpy as np
@@ -15,31 +17,17 @@ from conftest import (
     make_cost_matrix,
     min_in_tree_cost_bruteforce,
 )
-from quasipot.maxplus import CostMatrix, max_balance_residual, shortest_path_closure
-from quasipot.trees import InTree, min_arborescence, stationary_rates, tree_total
+from quasipot.maxplus import (
+    CostMatrix,
+    max_balance_residual,
+    shortest_path_closure,
+    stationary_rates,
+)
 
 WORKED_CLOSED = CostMatrix(
     ("a0", "a1", "a2"),
     np.array([[0.0, 2.0, 5.0], [1.0, 0.0, 3.0], [3.0, 2.0, 0.0]]),
 )
-
-
-def test_in_tree_validation():
-    InTree("r", {"x": "r", "y": "x"})
-    InTree("r", {})  # single-node tree: legal for singleton attractor sets
-    with pytest.raises(ValueError):
-        InTree("r", {"x": "y", "y": "x"})  # cycle never reaches the root
-    with pytest.raises(ValueError):
-        InTree("r", {"r": "x", "x": "r"})  # root must not have a parent
-    with pytest.raises(ValueError):
-        InTree("r", {"x": "ghost"})  # parent must be a spanned label
-
-
-def test_tree_total_worked_example():
-    tree = InTree("a0", {"a1": "a0", "a2": "a1"})
-    assert tree_total(WORKED_CLOSED, tree) == 1.0 + 2.0
-    star = InTree("a2", {"a0": "a2", "a1": "a2"})
-    assert tree_total(WORKED_CLOSED, star) == 5.0 + 3.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -59,23 +47,36 @@ def test_enumeration_size_cap():
 def test_enumeration_trees_are_distinct():
     labels = ("a", "b", "c", "d")
     seen = set()
-    for tree in enumerate_in_trees(labels, "b"):
-        key = tuple(sorted(tree.parents.items()))
+    for parents in enumerate_in_trees(labels, "b"):
+        key = tuple(sorted(parents.items()))
         assert key not in seen
         seen.add(key)
-        assert tree.root == "b"
+        assert sorted(parents) == ["a", "c", "d"]
 
 
 def test_bruteforce_worked_example():
-    totals = [min_in_tree_cost_bruteforce(WORKED_CLOSED, lab).total for lab in WORKED_CLOSED.labels]
+    totals = [min_in_tree_cost_bruteforce(WORKED_CLOSED, lab) for lab in WORKED_CLOSED.labels]
     assert totals == [3.0, 4.0, 5.0]
 
 
-def test_arborescence_worked_example():
-    for lab, want in zip(WORKED_CLOSED.labels, [3.0, 4.0, 5.0]):
-        got = min_arborescence(WORKED_CLOSED, lab)
-        assert got.total == want
-        assert got.tree.root == lab
+def check_against_bruteforce(costs: CostMatrix) -> bool:
+    """Check the rates against the in-tree totals; True when every total is infinite.
+
+    The rates must be the totals minus their minimum to 1e-12, with the same
+    infinite entries, and ``stationary_rates`` must raise exactly when every
+    total is infinite.
+    """
+    totals = np.array([min_in_tree_cost_bruteforce(costs, root) for root in costs.labels])
+    if np.isinf(totals).all():
+        with pytest.raises(ValueError, match="infinite in-tree cost"):
+            stationary_rates(costs)
+        return True
+    want = totals - totals.min()
+    got = stationary_rates(costs).rates
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.abs(got[finite] - want[finite]).max() <= 1e-12
+    return False
 
 
 def test_arborescence_matches_bruteforce_randomized():
@@ -83,21 +84,40 @@ def test_arborescence_matches_bruteforce_randomized():
     for trial in range(80):
         n = int(rng.integers(2, 7))
         costs = make_cost_matrix(rng, n, inf_prob=0.35 if trial % 2 else 0.0)
-        for root in costs.labels:
-            exact = min_in_tree_cost_bruteforce(costs, root)
-            fast = min_arborescence(costs, root)
-            if np.isinf(exact.total):
-                assert np.isinf(fast.total)
-            else:
-                assert abs(fast.total - exact.total) <= 1e-12
-                assert abs(tree_total(costs, fast.tree) - fast.total) <= 1e-12
+        if trial % 4 >= 2:
+            costs = shortest_path_closure(costs)
+        assert not check_against_bruteforce(costs)
+
+
+def test_elimination_raises_exactly_when_every_in_tree_is_infinite():
+    # no row is forced to keep a finite exit here, so about a third of
+    # these sets split into parts that cannot reach each other
+    rng = np.random.default_rng(8)
+    raised = 0
+    for trial in range(150):
+        n = int(rng.integers(2, 6))
+        entries = rng.uniform(0.05, 3.0, size=(n, n))
+        entries[rng.random((n, n)) < 0.6] = np.inf
+        np.fill_diagonal(entries, 0.0)
+        raised += check_against_bruteforce(CostMatrix(tuple(f"a{k}" for k in range(n)), entries))
+    assert 0 < raised < 150  # both branches ran
+
+
+def test_two_attractor_rates_are_the_closed_form_bit_for_bit():
+    rng = np.random.default_rng(2)
+    pairs = rng.uniform(0.0, 5.0, size=(2000, 2)).tolist()
+    pairs += [[1.0, np.inf], [np.inf, 2.5], [0.7, 0.7], [0.1, 0.3]]
+    for c01, c10 in pairs:
+        costs = CostMatrix(("a0", "a1"), np.array([[0.0, c01], [c10, 0.0]]))
+        assert stationary_rates(costs).rates.tolist() == [max(0.0, c10 - c01), max(0.0, c01 - c10)]
 
 
 def test_unreachable_root_gives_infinite_total():
     entries = np.array([[0.0, 1.0], [np.inf, 0.0]])
     costs = CostMatrix(("p", "q"), entries)
-    assert np.isinf(min_arborescence(costs, "p").total)
-    assert min_arborescence(costs, "q").total == 1.0
+    assert np.isinf(min_in_tree_cost_bruteforce(costs, "p"))
+    assert min_in_tree_cost_bruteforce(costs, "q") == 1.0
+    assert stationary_rates(costs).rates.tolist() == [np.inf, 0.0]
 
 
 def test_stationary_rates_worked_example():
@@ -113,9 +133,8 @@ def test_stationary_rates_all_unreachable_raises():
             [np.inf, np.inf, 0.0],
         ]
     )
-    # only the third column is reachable, but a2 cannot reach anything, so
-    # a0 and a1 are cut off from each other: every root total is infinite
-    # except a2's... which is finite, so this must succeed:
+    # a2 cannot reach anything, so only in-trees rooted at a2 are finite,
+    # and every other attractor carries no stationary mass
     rates = stationary_rates(CostMatrix(("a0", "a1", "a2"), entries))
     assert rates.rates[2] == 0.0
     assert np.isinf(rates.rates[0]) and np.isinf(rates.rates[1])
@@ -153,8 +172,8 @@ def test_uniform_shift_moves_totals_not_rates(n, shift, seed):
     np.fill_diagonal(shifted, 0.0)
     shifted = CostMatrix(base.labels, shifted)
     for root in base.labels:
-        before = min_in_tree_cost_bruteforce(base, root).total
-        after = min_in_tree_cost_bruteforce(shifted, root).total
+        before = min_in_tree_cost_bruteforce(base, root)
+        after = min_in_tree_cost_bruteforce(shifted, root)
         assert after == pytest.approx(before + (n - 1) * shift, abs=1e-9)
     np.testing.assert_allclose(
         stationary_rates(base).rates, stationary_rates(shifted).rates, atol=1e-9
