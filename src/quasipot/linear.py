@@ -142,10 +142,14 @@ def finite_horizon_gramian(model: LinearModel, horizon: float) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _gramian_interval(model: LinearModel, gram: np.ndarray, s: float) -> np.ndarray:
-    """``G_s`` from the exact identity ``G_s = G - e^{Db s} G e^{Db^T s}``."""
-    e = scipy.linalg.expm(model.drift_matrix * s)
-    return gram - e @ gram @ e.T
+def _gramian_interval(model: LinearModel, gram: np.ndarray, s) -> np.ndarray:
+    """``G_s`` from the exact identity ``G_s = G - e^{Db s} G e^{Db^T s}``.
+
+    ``s`` is one time, giving ``(d, d)``, or an array of ``K`` times, giving
+    ``(K, d, d)``.
+    """
+    e = scipy.linalg.expm(np.multiply.outer(s, model.drift_matrix))
+    return gram - e @ gram @ np.swapaxes(e, -1, -2)
 
 
 def finite_horizon_path(
@@ -175,28 +179,25 @@ def finite_horizon_path(
             f"{MAX_EXPONENT / rho:.6g} for this drift"
         )
     gram = lyapunov_gramian(model)
-    g_t = _gramian_interval(model, gram, horizon)
-    coeff = np.linalg.solve(g_t, r)
+    coeff = np.linalg.solve(_gramian_interval(model, gram, horizon), r)
     times = np.linspace(0.0, horizon, num_segments + 1)
-    pts = np.empty((num_segments + 1, model.dim))
-    dbt = model.drift_matrix.T
-    for k, s in enumerate(times):
-        g_s = _gramian_interval(model, gram, s)
-        pts[k] = g_s @ scipy.linalg.expm(dbt * (horizon - s)) @ coeff
-    return Path(horizon, pts)
+    back = scipy.linalg.expm(np.multiply.outer(horizon - times, model.drift_matrix.T))
+    return Path(horizon, _gramian_interval(model, gram, times) @ back @ coeff)
 
 
-def escape_profile_limit(model: LinearModel, displacement, backward_time: float) -> np.ndarray:
+def escape_profile_limit(model: LinearModel, displacement, backward_time) -> np.ndarray:
     """Infinite-horizon escape profile ``t`` time units before arrival at ``r``.
 
     The finite-horizon optimizers, reindexed by time before arrival,
     converge to ``phi(t) = G e^{Db^T t} G^{-1} r`` as the horizon grows.
     ``phi(0) = r`` and the profile decays to the attractor as ``t`` grows.
+    One time gives shape ``(d,)``; an array of ``K`` times gives ``(K, d)``.
     """
     r = np.asarray(displacement, dtype=float)
     if r.shape != (model.dim,):
         raise ValueError(f"displacement must be a vector of dimension {model.dim}")
-    if backward_time < 0 or not math.isfinite(backward_time):
+    t = np.asarray(backward_time, dtype=float)
+    if not np.all((t >= 0) & np.isfinite(t)):
         raise ValueError(f"backward time must be nonnegative and finite, got {backward_time}")
     gram = lyapunov_gramian(model)
-    return gram @ scipy.linalg.expm(model.drift_matrix.T * backward_time) @ np.linalg.solve(gram, r)
+    return gram @ scipy.linalg.expm(np.multiply.outer(t, model.drift_matrix.T)) @ np.linalg.solve(gram, r)

@@ -841,9 +841,7 @@ def run_linear(spec: ProblemSpec, attractor_index: int | None = None) -> dict:
         except ValueError as exc:
             raise SpecError(f"linear.horizon: {exc}") from None
         t_grid = path.times
-        limit = np.stack(
-            [escape_profile_limit(lin, r, float(t)) for t in t_grid]
-        )
+        limit = escape_profile_limit(lin, r, t_grid)
         entries.append(
             {
                 "displacement": r,

@@ -215,22 +215,26 @@ def test_criterion_06_linear_model_three_way_agreement(verdict):
 
 
 def test_criterion_07_nonnormal_escape_profile(verdict):
+    # From horizon 30 on, e^{Db s} for s >= T - 5 is below the rounding of G,
+    # so both formulas evaluate the same product and the distance reads 0
+    # whatever either computes; at horizons 8 and 12 it is visible.
     lin = LinearModel(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.eye(2))
     r = np.array([1.0, 0.0])
-    horizon = 40.0
-    path = finite_horizon_path(lin, r, horizon, 400)
-    sup = 0.0
-    for k, t in enumerate(path.times):
-        back = horizon - t
-        if back <= 5.0:
-            phi = escape_profile_limit(lin, r, float(back))
-            sup = max(sup, float(np.max(np.abs(path.points[k] - phi))))
-    ok = sup <= 1e-3
+
+    def sup_distance(horizon):
+        path = finite_horizon_path(lin, r, horizon, 400)
+        back = horizon - path.times
+        last = back <= 5.0
+        return float(np.max(np.abs(path.points[last] - escape_profile_limit(lin, r, back[last]))))
+
+    short, longer = sup_distance(8.0), sup_distance(12.0)
+    ok = 0.0 < longer < short <= 1e-3
     verdict(
         7,
         "long-horizon optimal path follows the stationary escape profile",
         ok,
-        f"sup distance {sup:.2e} over the last 5 backward time units",
+        f"sup distance over the last 5 backward time units {short:.2e} at horizon 8, "
+        f"{longer:.2e} at horizon 12",
     )
 
 

@@ -33,7 +33,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 import scipy.optimize
-from conftest import finite_horizon_dual
+from conftest import RotatedAffineJumps, finite_horizon_dual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -513,6 +513,27 @@ def test_dual_matches_a_rotated_separable_quadrature_sum():
             res = quasipotential_dual(model, [0.0, 0.0], x)
             assert res.converged
             assert res.value == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the flow quadrature's panels follow the spectrum of B, not the growth of theta.e^{Bs}f "
+    "far out along a jump: relative errors 2.0e-11, 8.8e-11 and 3.6e-10, all flagged converged",
+)
+@pytest.mark.parametrize("radius", [8.0, 12.0, 20.0])
+def test_dual_keeps_its_digits_far_out_along_a_constant_jump(radius):
+    oracle = RotatedAffineJumps(mu=(0.0, 0.0))
+    fields = oracle.spec_fields()
+    model = LocalModel(
+        2,
+        LinearDrift(fields["drift"]["matrix"]),
+        fields["diffusion"],
+        tuple(JumpAtom(j["rate"], j["vector"], j["matrix"]) for j in fields["jumps"]),
+    )
+    x = radius * oracle.rotation[:, 0]
+    res = quasipotential_dual(model, [0.0, 0.0], x)
+    assert res.converged
+    assert res.value == pytest.approx(oracle.cost(x), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("x", [0.8, -1.3, 2.0])
