@@ -9,7 +9,8 @@ Legendre-type dual
 which is finite, convex in ``v``, and zero exactly when ``v = b(y)``.  The
 action of a path is the time integral of ``L`` along it, discretized here
 with the midpoint rule on uniform grids.  Quasipotentials between states are
-infima of the action over paths and over growing horizons.
+infima of the action over paths and over all horizons; :func:`quasipotential`
+takes both at once by the geometric minimum action method.
 
 The inner sup is a smooth strictly concave maximization solved by damped
 Newton iterations started from the Gaussian maximizer; with no jump
@@ -47,9 +48,6 @@ import scipy.optimize
 
 from .models import LinearDrift, LocalModel, Path
 
-#: Default horizon sweep for quasipotential computations.
-DEFAULT_SWEEP = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
-
 #: Action values at or above this are reported as unreachable (infinite).
 COST_CAP = 1e6
 
@@ -57,17 +55,19 @@ COST_CAP = 1e6
 #: an equilibrium.
 EQUILIBRIUM_TOL = 1e-6
 
-#: L-BFGS iteration cap of each :func:`minimize_action` (function
-#: evaluations are capped at ten times this).
+#: Iteration cap of each :func:`minimize_action` (L-BFGS; function
+#: evaluations are capped at ten times this) and of each descent of
+#: :func:`quasipotential`.
 MAX_ITERATIONS = 2000
 
 # Dual Newton solve: iteration cap, and the max-norm gradient that converges a row.
 _DUAL_MAX_ITER = 50
 _DUAL_GRAD_TOL = 1e-10
-# minimize_action: max-norm gradient tolerance and the stagnation test (see its docstring).
+# minimize_action: max-norm gradient tolerance.
 _MINIMIZE_GRAD_TOL = 1e-6
-_STAGNATION_TOL = 1e-8
-_STAGNATION_WINDOW = 100
+# quasipotential: relative tolerance of the root s, and the relative change of S that is rounding.
+_ROOT_RTOL = 1e-8
+_ROUNDING = 16 * np.finfo(float).eps
 # Convex dual: Gauss-Legendre nodes per panel; the decay factor of a mode
 # e^{lambda s} of B at which the quadrature drops it; the fewest panels over
 # the whole range; and the panels per unit of |lambda| s while mode lambda lives.
@@ -282,6 +282,19 @@ def path_action(model: LocalModel, path: Path) -> ActionValue:
     return _action(model, y, v, path.dt)
 
 
+def _hamiltonian_state_gradient(model: LocalModel, y: np.ndarray, lam: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``dH/dy = J_b^T l + sum_j nu_j expm1(l . f_j) M_j^T l`` per row, ``f`` the jump vectors at ``y``.
+
+    The constant diffusion adds no term.
+    """
+    out = np.einsum("mde,md->me", model.drift.jacobian(y), lam)
+    if model.jump_matrices.any():
+        with np.errstate(over="ignore"):
+            weight = model.jump_rates * np.expm1(np.einsum("mjd,md->mj", f, lam))
+        out += np.einsum("mj,jde,md->me", weight, model.jump_matrices, lam)
+    return out
+
+
 def _value_and_gradient(
     model: LocalModel, points: np.ndarray, dt: float
 ) -> tuple[float, np.ndarray]:
@@ -289,23 +302,15 @@ def _value_and_gradient(
 
     One inner dual solve per call: at the maximizer ``l*`` the dual is
     stationary in ``l``, so derivatives pass through it (envelope argument).
-    ``dL/dv = l*`` exactly, and at fixed ``l*`` the drift's Jacobian and the
-    jump matrices give ``dL/dy = -J_b^T l* - sum_j nu_j expm1(l* . f_j) M_j^T l*``
-    (the constant diffusion adds no term).  Interior node ``k`` enters
-    segment ``k - 1`` through its right endpoint and segment ``k`` through
-    its left one, each contributing half the midpoint sensitivity plus the
-    chord-velocity term.
+    ``dL/dv = l*`` exactly, and ``dL/dy = -dH/dy`` at fixed ``l*``.  Interior
+    node ``k`` enters segment ``k - 1`` through its right endpoint and
+    segment ``k`` through its left one, each contributing half the midpoint
+    sensitivity plus the chord-velocity term.
     """
     y, v = _chords(points, dt)
     w, cov, nu, f = _dual_inputs(model, y, v)
     val, lam, _, _ = _dual_batch(w, cov, nu, f)
-
-    dldy = -np.einsum("mde,md->me", model.drift.jacobian(y), lam)
-    if model.jump_matrices.any():
-        with np.errstate(over="ignore"):
-            weight = nu * np.expm1(np.einsum("mjd,md->mj", f, lam))
-        dldy -= np.einsum("mj,jde,md->me", weight, model.jump_matrices, lam)
-
+    dldy = -_hamiltonian_state_gradient(model, y, lam, f)
     grad = np.zeros_like(points)
     grad[1:-1] = 0.5 * dt * (dldy[:-1] + dldy[1:]) + (lam[:-1] - lam[1:])
     return float(dt * val.sum()), grad
@@ -328,13 +333,9 @@ def minimize_action(
     The output is the best path seen, so the value never exceeds the
     straight-line action.
 
-    Convergence means any of: the max-norm gradient fell below
-    ``_MINIMIZE_GRAD_TOL``; the optimizer's own relative-reduction test
-    fired; or the mean per-iteration improvement over the last
-    ``_STAGNATION_WINDOW`` iterations dropped below ``_STAGNATION_TOL``
-    relative to the value.  The last case matters on long horizons, where
-    near-translation-invariance of the transition layer makes the valley
-    floor extremely flat.
+    Convergence means either: the max-norm gradient fell below
+    ``_MINIMIZE_GRAD_TOL``, or the optimizer's own relative-reduction test
+    fired.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
@@ -369,16 +370,9 @@ def minimize_action(
         pts[1:-1] = z.reshape(num_segments - 1, d)
         return pts
 
-    latest = {"value": np.inf}
-    history: list[float] = []
-
     def fun(z: np.ndarray) -> tuple[float, np.ndarray]:
         value, grad = _value_and_gradient(model, assemble(z), dt)
-        latest["value"] = value
         return value, grad[1:-1].ravel()
-
-    def record(_zk: np.ndarray) -> None:
-        history.append(latest["value"])
 
     start_vals = [fun(c[1:-1].ravel())[0] for c in candidates]
     pick = int(np.argmin(start_vals))
@@ -389,7 +383,6 @@ def minimize_action(
         z0,
         jac=True,
         method="L-BFGS-B",
-        callback=record,
         options={
             "maxiter": MAX_ITERATIONS,
             "maxfun": 10 * MAX_ITERATIONS,
@@ -402,60 +395,133 @@ def minimize_action(
         best = assemble(result.x)
     else:
         best = candidates[pick]
-    stagnated = len(history) > _STAGNATION_WINDOW and (
-        history[-_STAGNATION_WINDOW - 1] - history[-1]
-        <= _STAGNATION_WINDOW * _STAGNATION_TOL * max(1.0, abs(history[-1]))
-    )
-    converged = (
-        bool(result.success)
-        or float(np.abs(result.jac).max()) <= _MINIMIZE_GRAD_TOL
-        or stagnated
-    )
+    converged = bool(result.success) or float(np.abs(result.jac).max()) <= _MINIMIZE_GRAD_TOL
 
     info = _action(model, *_chords(best, dt), dt)
     return Path(horizon, best), replace(info, converged=converged and info.converged)
+
+
+def _geometric_cost(model: LocalModel, points: np.ndarray):
+    """Geometric action ``S = sum_k ell(midpoint_k, chord_k)`` of a discrete path.
+
+    ``ell(y, u) = sup {u . l : H(y, l) <= 0}``.  With ``l(s)`` the dual's
+    maximizer at velocity ``s u``, ``g(s) = H(y, l(s)) = s u . l - L(y, s u)``
+    increases in ``s`` with slope ``s u^T H_ll^{-1} u``; its root is found by
+    Newton steps kept inside a bracket, started from the Gaussian guess
+    ``s = |b|_{c^-1} / |u|_{c^-1}`` (``c`` the local covariance).  Then
+    ``ell = L(y, s u) / s``, which is stationary in ``s``, so the root needs
+    only half the digits.  A chord with ``b(y) = 0`` costs 0, with ``l = 0``
+    and ``s = 0``.  By the envelope argument ``d ell / du = l`` and
+    ``d ell / dy = -(dH/dy) / s``; the interior nodes get them by
+    :func:`_value_and_gradient`'s stencil.
+
+    Returns ``S``, its gradient at the interior nodes, the per-chord ``s``
+    and ``H_ll``, the largest inner iteration count and the indices of the
+    chords whose local solve did not converge.
+    """
+    y, u = 0.5 * (points[:-1] + points[1:]), np.diff(points, axis=0)
+    b, cov = model.drift_at(y), model.noise_covariance(y)
+    nu, f = model.jump_rates, model.jump_values(y)
+    hess = model.local_covariance(y)
+    cb = np.linalg.solve(hess, b[..., None])[..., 0]
+    cu = np.linalg.solve(hess, u[..., None])[..., 0]
+    s = np.sqrt(np.einsum("md,md->m", b, cb) / np.einsum("md,md->m", u, cu))
+    lo, hi = np.zeros_like(s), np.full_like(s, np.inf)
+    val, lam, converged = np.zeros_like(s), np.zeros_like(u), np.ones(s.shape, dtype=bool)
+    active, iterations = s > 0, 0
+    for _ in range(_DUAL_MAX_ITER):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        sr, ur = s[rows], u[rows]
+        val[rows], lam[rows], its, converged[rows] = _dual_batch(sr[:, None] * ur - b[rows], cov[rows], nu, f[rows])
+        iterations = max(iterations, its)
+        with np.errstate(over="ignore"):
+            expz = np.exp(np.minimum(np.einsum("mjd,md->mj", f[rows], lam[rows]), 700.0))
+        hess[rows] = cov[rows] + np.einsum("j,mj,mjd,mje->mde", nu, expz, f[rows], f[rows])
+        g = sr * np.einsum("md,md->m", ur, lam[rows]) - val[rows]
+        slope = sr * np.einsum("md,md->m", ur, np.linalg.solve(hess[rows], ur[..., None])[..., 0])
+        lo[rows], hi[rows] = np.where(g < 0, sr, lo[rows]), np.where(g > 0, sr, hi[rows])
+        step = sr - g / slope
+        step = np.where((step > lo[rows]) & (step < hi[rows]), step, 0.5 * (lo[rows] + hi[rows]))
+        done = (np.abs(step - sr) <= _ROOT_RTOL * sr) | (g == 0)
+        active[rows[done]] = False
+        s[rows[~done]] = step[~done]
+    moving = (s > 0)[:, None]
+    cost = np.divide(val, s, out=np.zeros_like(s), where=moving[:, 0])
+    dldy = -np.divide(_hamiltonian_state_gradient(model, y, lam, f), s[:, None], out=np.zeros_like(u), where=moving)
+    grad = 0.5 * (dldy[:-1] + dldy[1:]) + (lam[:-1] - lam[1:])
+    failed = tuple(int(k) for k in np.flatnonzero(~(converged & ~active)))
+    return float(cost.sum()), grad, s, hess, iterations, failed
+
+
+def _equal_arclength(points: np.ndarray) -> np.ndarray:
+    """Nodes spaced at equal arclength along the polyline through ``points``."""
+    arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
+    grid = np.linspace(0.0, arc[-1], points.shape[0])
+    return np.column_stack([np.interp(grid, arc, points[:, i]) for i in range(points.shape[1])])
 
 
 def quasipotential(
     model: LocalModel,
     attractor: Sequence[float],
     target: Sequence[float],
-    sweep: Sequence[float] = DEFAULT_SWEEP,
     num_segments: int = 400,
 ) -> ActionValue:
-    """Escape cost from an attractor to a target state.
+    """Escape cost from an attractor to a target state, over all paths and horizons.
 
-    Minimizes the action over each horizon in ``sweep`` (sorted ascending),
-    warm starting every horizon from the previous optimum extended by an
-    initial hold at the attractor, which costs nothing because the attractor
-    is an equilibrium.  The reported value is the smallest over the sweep;
-    extending the sweep can therefore never increase it.  Values reaching
-    ``COST_CAP`` are reported as infinite.
-
-    The starting point must actually be an equilibrium of the drift; this is
-    checked against ``EQUILIBRIUM_TOL``.
+    The geometric minimum action method (Heymann & Vanden-Eijnden, *CPAM*
+    61, 2008) has no horizon: it minimizes :func:`_geometric_cost` over
+    paths of ``num_segments`` chords of equal arclength, from the straight
+    line.  Each step follows the flow ``-s H_ll grad S`` at the interior
+    nodes (``s`` and ``H_ll`` averaged over a node's two chords, ``grad S``
+    cut to its part normal to the path, since respacing undoes tangential
+    moves), its stiff part ``s (s_i (x_{i+1} - x_i) - s_{i-1} (x_i -
+    x_{i-1}))`` taken implicitly by one tridiagonal solve.  A step that does
+    not lower ``S`` is halved; one that does is kept, respaced to equal
+    arclength and doubled.  The gain is taken before respacing, which moves
+    ``S`` by a discretization amount of its own.  Converged means 3 steps in
+    a row gained at most the rounding of ``S``; after ``MAX_ITERATIONS``
+    steps the descent stops unconverged.  Values reaching ``COST_CAP`` are
+    reported as infinite.  The start must be an equilibrium of the drift
+    within ``EQUILIBRIUM_TOL``.
     """
     a, x = _escape_endpoints(model, attractor, target)
-    sweep = sorted(float(t) for t in sweep)
-    if not sweep:
-        raise ValueError("horizon sweep must be nonempty")
-    if sweep[0] <= 0:
-        raise ValueError("horizons must be positive")
-
-    best: ActionValue | None = None
-    prev: Path | None = None
-    for horizon in sweep:
-        init = None
-        if prev is not None:
-            init = _hold_then_follow(prev, a, horizon, num_segments)
-        path, info = minimize_action(model, a, x, horizon, num_segments, init=init)
-        if best is None or info.value < best.value:
-            best = info
-        prev = path
-    assert best is not None
-    if best.value >= COST_CAP:
-        return replace(best, value=math.inf)
-    return best
+    if num_segments < 2:
+        raise ValueError("need at least 2 segments to have an interior node to move")
+    if np.array_equal(a, x):
+        return ActionValue(0.0, 0, True)
+    points = np.linspace(0.0, 1.0, num_segments + 1)[:, None] * (x - a) + a
+    model.assert_nondegenerate(0.5 * (points[:-1] + points[1:]))
+    value, grad, s, hess, iterations, failed = _geometric_cost(model, points)
+    if value == 0.0:  # S is never negative: the straight line is optimal
+        return ActionValue(0.0, iterations, not failed, failed)
+    tau = (num_segments / s.max()) ** 2
+    quiet = 0
+    for _ in range(MAX_ITERATIONS):
+        tangent = points[2:] - points[:-2]
+        tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
+        normal = grad - np.einsum("md,md->m", grad, tangent)[:, None] * tangent
+        node_s = 0.5 * (s[:-1] + s[1:])
+        flow = -node_s[:, None] * np.einsum("mde,me->md", 0.5 * (hess[:-1] + hess[1:]), normal)
+        left, right = tau * node_s * s[:-1], tau * node_s * s[1:]
+        bands = np.zeros((3, num_segments - 1))
+        bands[0, 1:], bands[1], bands[2, :-1] = -right[:-1], 1.0 + left + right, -left[1:]
+        trial = points.copy()
+        trial[1:-1] += scipy.linalg.solve_banded((1, 1), bands, tau * flow)
+        gain = value - _geometric_cost(model, trial)[0]
+        quiet = quiet + 1 if abs(gain) <= _ROUNDING * value else 0
+        if quiet == 3:
+            break
+        if gain > 0:
+            points = _equal_arclength(trial)
+            value, grad, s, hess, iterations, failed = _geometric_cost(model, points)
+            tau *= 2.0
+        else:
+            tau *= 0.5
+    if value >= COST_CAP:
+        value = math.inf
+    return ActionValue(value, iterations, quiet == 3 and not failed, failed)
 
 
 def _escape_endpoints(
@@ -472,22 +538,6 @@ def _escape_endpoints(
             f"|b(attractor)| = {speed:.3g} exceeds equilibrium tolerance {EQUILIBRIUM_TOL:.3g}"
         )
     return a, x
-
-
-def _hold_then_follow(path: Path, a: np.ndarray, horizon: float, num_segments: int) -> Path:
-    """Warm start on a longer horizon: wait at ``a``, then run the old path.
-
-    A repeated sweep entry has the same horizon and grid, so ``path`` is
-    reused as it is.
-    """
-    extra = horizon - path.horizon
-    if extra <= 0:
-        return path
-    t = np.concatenate([[0.0], path.times + extra])
-    pts = np.vstack([a[None, :], path.points])
-    t_new = np.linspace(0.0, horizon, num_segments + 1)
-    out = np.column_stack([np.interp(t_new, t, pts[:, i]) for i in range(path.dim)])
-    return Path(horizon, out)
 
 
 class _NoRoot(Exception):

@@ -32,7 +32,6 @@ import numpy as np
 from . import __version__
 from . import action
 from .action import (
-    DEFAULT_SWEEP,
     EQUILIBRIUM_TOL,
     MAX_ITERATIONS,
     ActionValue,
@@ -168,7 +167,8 @@ def _cycle_over(states: np.ndarray, replicas: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SolverSettings:
-    t_sweep: tuple[float, ...] = DEFAULT_SWEEP
+    # Accepted and recorded in provenance, but ignored: no route has a horizon.
+    t_sweep: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
     path_points: int = 400
 
 
@@ -573,7 +573,6 @@ def quasipotential(
     target: np.ndarray,
     *,
     equilibria: Sequence[Equilibrium],
-    sweep: Sequence[float],
     num_segments: int,
 ) -> ActionValue:
     """One escape-cost solve of the pipeline; every solve calls this name.
@@ -582,9 +581,9 @@ def quasipotential(
     ``hamiltonian_quadrature`` (one dimension) is the exact
     :func:`~quasipot.action.quasipotential_1d`, split at the ``equilibria``.
     ``convex_dual`` (linear drift, constant jump vectors) is the exact
-    :func:`~quasipot.action.quasipotential_dual`.  Both ignore the horizon
-    sweep and path settings.  ``minimum_action`` minimizes the action with
-    :func:`quasipot.action.quasipotential`.
+    :func:`~quasipot.action.quasipotential_dual`.  Both ignore
+    ``num_segments``.  ``minimum_action`` minimizes the geometric action over
+    paths of ``num_segments`` chords with :func:`quasipot.action.quasipotential`.
     """
     method = _escape_cost_method(model)
     if method == "hamiltonian_quadrature":
@@ -596,7 +595,7 @@ def quasipotential(
         )
     if method == "convex_dual":
         return action.quasipotential_dual(model, attractor, target)
-    return action.quasipotential(model, attractor, target, sweep=sweep, num_segments=num_segments)
+    return action.quasipotential(model, attractor, target, num_segments=num_segments)
 
 
 def _escape_costs(
@@ -622,7 +621,6 @@ def _escape_costs(
             sources[i],
             targets[k],
             equilibria=equilibria,
-            sweep=spec.solver.t_sweep,
             num_segments=spec.solver.path_points,
         )
         for i, k in tasks

@@ -126,6 +126,16 @@ class RotatedAffineJumps:
             ],
         }
 
+    def model(self) -> LocalModel:
+        """The model of :meth:`spec_fields`."""
+        fields = self.spec_fields()
+        return LocalModel(
+            2,
+            LinearDrift(fields["drift"]["matrix"]),
+            fields["diffusion"],
+            tuple(JumpAtom(j["rate"], j["vector"], j["matrix"]) for j in fields["jumps"]),
+        )
+
     def cost(self, x: Sequence[float]) -> float:
         """Exact escape cost from the origin to ``x``."""
         y = self.rotation.T @ np.asarray(x, dtype=float)

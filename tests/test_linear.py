@@ -206,11 +206,6 @@ def test_escape_profile_limit_refuses_a_bad_time_in_an_array(bad):
         escape_profile_limit(model, np.array([1.0, 0.0]), np.array([0.0, bad, 1.0]))
 
 
-def test_long_horizon_path_converges_to_profile():
-    model = LinearModel(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.eye(2))
-    assert profile_sup_distance(model, np.array([1.0, 0.0]), 40.0) <= 1e-3
-
-
 def profile_sup_distance(model, r, horizon):
     """Criterion 7's measure: the path's largest distance from the profile over the last 5 time units."""
     path = finite_horizon_path(model, r, horizon, 400)
@@ -237,11 +232,11 @@ def test_escape_profile_solves_its_ode():
 
 def test_profile_distance_is_visible_at_moderate_horizons():
     # At horizon 40 the distance rounds to 0; at 8 and 12 it
-    # is positive and shrinks as the horizon grows.
+    # is positive, shrinks as the horizon grows, and is already small.
     model = LinearModel(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.eye(2))
     r = np.array([1.0, 0.0])
     short, longer = profile_sup_distance(model, r, 8.0), profile_sup_distance(model, r, 12.0)
-    assert 0.0 < longer < short
+    assert 0.0 < longer < short <= 1e-3
 
 
 def test_horizon_overflow_guard():
