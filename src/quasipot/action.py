@@ -42,10 +42,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
-import scipy.optimize
 
+from .linear import _expm
 from .models import LinearDrift, LocalModel, Path
 
 #: Action values at or above this are reported as unreachable (infinite).
@@ -378,7 +376,9 @@ def minimize_action(
     pick = int(np.argmin(start_vals))
     z0 = candidates[pick][1:-1].ravel()
 
-    result = scipy.optimize.minimize(
+    from scipy.optimize import minimize
+
+    result = minimize(
         fun,
         z0,
         jac=True,
@@ -496,6 +496,8 @@ def quasipotential(
     value, grad, s, hess, iterations, failed = _geometric_cost(model, points)
     if value == 0.0:  # S is never negative: the straight line is optimal
         return ActionValue(0.0, iterations, not failed, failed)
+    from scipy.linalg import solve_banded
+
     tau = (num_segments / s.max()) ** 2
     quiet = 0
     for _ in range(MAX_ITERATIONS):
@@ -508,7 +510,7 @@ def quasipotential(
         bands = np.zeros((3, num_segments - 1))
         bands[0, 1:], bands[1], bands[2, :-1] = -right[:-1], 1.0 + left + right, -left[1:]
         trial = points.copy()
-        trial[1:-1] += scipy.linalg.solve_banded((1, 1), bands, tau * flow)
+        trial[1:-1] += solve_banded((1, 1), bands, tau * flow)
         gain = value - _geometric_cost(model, trial)[0]
         quiet = quiet + 1 if abs(gain) <= _ROUNDING * value else 0
         if quiet == 3:
@@ -577,6 +579,8 @@ def quasipotential_1d(
     if model.dim != 1:
         raise ValueError(f"quadrature escape costs need dimension 1, got {model.dim}")
     a, x = _escape_endpoints(model, attractor, target)
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
 
     start, end = float(a[0]), float(x[0])
     sign = 1.0 if end >= start else -1.0
@@ -605,7 +609,7 @@ def quasipotential_1d(
             if reach > _MOMENTUM_REACH:
                 raise _NoRoot
         lo, hi = sorted((0.0, sign * reach))
-        root, info = scipy.optimize.brentq(
+        root, info = brentq(
             slope, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps, full_output=True, disp=False
         )
         iterations = max(iterations, info.iterations)
@@ -618,7 +622,7 @@ def quasipotential_1d(
         # The far end first: a target past the last passable state is
         # unreachable even if no quadrature node lands beyond that state.
         excess(end)
-        value, _abserr, _info, *warning = scipy.integrate.quad(
+        value, _abserr, _info, *warning = quad(
             excess,
             lo,
             hi,
@@ -667,7 +671,7 @@ def _flow_quadrature(matrix: bytes, dim: int) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (edges[:-1, None] + half * (unit + 1.0)).ravel()
     weights = (half * unit_weights).ravel()
-    flows = scipy.linalg.expm(nodes[:, None, None] * b)
+    flows = _expm(nodes[:, None, None] * b)
     for arr in (weights, flows):
         arr.flags.writeable = False
     return weights, flows

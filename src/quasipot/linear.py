@@ -16,11 +16,10 @@ propagates ``e^{-Db t}`` forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .models import Path
 
@@ -40,11 +39,13 @@ class LinearModel:
 
     ``Db`` must be Hurwitz (all eigenvalue real parts strictly negative) and
     ``c`` symmetric positive definite; both are validated on construction.
-    The Lyapunov Gramian is solved on first use and kept, read-only.
+    The Lyapunov Gramian is solved on first use and kept, read-only; so is
+    each table of :meth:`flow`.
     """
 
     drift_matrix: np.ndarray
     covariance: np.ndarray
+    _flows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         db = np.asarray(self.drift_matrix, dtype=float)
@@ -107,6 +108,36 @@ class LinearModel:
         g.flags.writeable = False
         return g
 
+    def flow(self, s, *, transpose: bool = False) -> np.ndarray:
+        """``e^{Db s}``, or ``e^{Db^T s}``: ``(d, d)`` at one time, ``(K, d, d)`` at ``K``.
+
+        Each time grid is exponentiated once per model and kept, read-only:
+        ``run_linear`` evaluates every displacement on the same grids.
+        """
+        s = np.asarray(s, dtype=float)
+        key = (transpose, s.shape, s.tobytes())
+        table = self._flows.get(key)
+        if table is None:
+            db = self.drift_matrix.T if transpose else self.drift_matrix
+            table = _expm(np.multiply.outer(s, db))
+            table.flags.writeable = False
+            self._flows[key] = table
+        return table
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each matrix in a ``(..., d, d)`` stack.
+
+    A ``1 x 1`` exponential is the scalar one, which is exactly what
+    ``scipy.linalg.expm`` returns for that shape; only larger matrices load
+    scipy.
+    """
+    if a.shape[-2:] == (1, 1):
+        return np.exp(a)
+    import scipy.linalg
+
+    return scipy.linalg.expm(a)
+
 
 def lyapunov_gramian(model: LinearModel) -> np.ndarray:
     """Controllability Gramian ``G`` with ``Db G + G Db^T + c = 0``.
@@ -148,7 +179,7 @@ def _gramian_interval(model: LinearModel, gram: np.ndarray, s) -> np.ndarray:
     ``s`` is one time, giving ``(d, d)``, or an array of ``K`` times, giving
     ``(K, d, d)``.
     """
-    e = scipy.linalg.expm(np.multiply.outer(s, model.drift_matrix))
+    e = model.flow(s)
     return gram - e @ gram @ np.swapaxes(e, -1, -2)
 
 
@@ -181,7 +212,7 @@ def finite_horizon_path(
     gram = lyapunov_gramian(model)
     coeff = np.linalg.solve(_gramian_interval(model, gram, horizon), r)
     times = np.linspace(0.0, horizon, num_segments + 1)
-    back = scipy.linalg.expm(np.multiply.outer(horizon - times, model.drift_matrix.T))
+    back = model.flow(horizon - times, transpose=True)
     return Path(horizon, _gramian_interval(model, gram, times) @ back @ coeff)
 
 
@@ -200,4 +231,4 @@ def escape_profile_limit(model: LinearModel, displacement, backward_time) -> np.
     if not np.all((t >= 0) & np.isfinite(t)):
         raise ValueError(f"backward time must be nonnegative and finite, got {backward_time}")
     gram = lyapunov_gramian(model)
-    return gram @ scipy.linalg.expm(np.multiply.outer(t, model.drift_matrix.T)) @ np.linalg.solve(gram, r)
+    return gram @ model.flow(t, transpose=True) @ np.linalg.solve(gram, r)

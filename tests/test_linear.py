@@ -7,7 +7,8 @@ Dual routes checked against each other:
 - the finite-horizon Gramian, from the exact reachability identity
   G_T = G - e^{A T} G e^{A^T T}, against an adaptive quadrature of its
   defining integral,
-- the matrix exponential against a plain Taylor series on small matrices.
+- the matrix exponential against a plain Taylor series on small matrices,
+  and the package's own exponential against scipy's, bit for bit.
 
 Scalar oracle: for dX = -k X dt + s dW the Gramian is s^2 / (2 k) and the
 quadratic rate at r is k r^2 / s^2.
@@ -23,6 +24,7 @@ from quasipot.action import path_action
 from quasipot.linear import (
     MAX_LYAPUNOV_DIM,
     LinearModel,
+    _expm,
     escape_profile_limit,
     finite_horizon_gramian,
     finite_horizon_path,
@@ -134,6 +136,35 @@ def test_expm_against_taylor_series():
             term = term @ a / k
             series = series + term
         np.testing.assert_allclose(expm(a), series, atol=1e-12)
+
+
+def test_expm_helper_equals_scipy_bit_for_bit():
+    times = np.array([0.0, 0.25, 1.0, 7.5, 40.0])
+    scalar = np.multiply.outer(np.concatenate([times, -times[1:]]), np.array([[-1.3]]))
+    generic = np.multiply.outer(times, np.array([[-1.0, 0.4], [-0.7, -0.5]]))
+    triangular = np.multiply.outer(times, np.array([[-1.0, 1.0], [0.0, -1.0]]))
+    for stack in (scalar, generic, triangular):
+        assert np.array_equal(_expm(stack), expm(stack))
+
+
+def test_flow_tables_are_kept_per_grid_and_read_only():
+    model = LinearModel(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.eye(2))
+    times = np.linspace(0.0, 6.0, 121)
+    table = model.flow(times, transpose=True)
+    assert model.flow(times.copy(), transpose=True) is table
+    assert not table.flags.writeable
+    assert model.flow(times) is not table
+    # a second displacement on the same grids reads the kept tables and gets
+    # the same bits as a model that computes them afresh
+    r = np.array([0.8, -0.4])
+    finite_horizon_path(model, np.array([1.0, 0.0]), 6.0, 120)
+    escape_profile_limit(model, np.array([1.0, 0.0]), times)
+    fresh = LinearModel(model.drift_matrix, model.covariance)
+    assert np.array_equal(
+        finite_horizon_path(model, r, 6.0, 120).points, finite_horizon_path(fresh, r, 6.0, 120).points
+    )
+    fresh = LinearModel(model.drift_matrix, model.covariance)
+    assert np.array_equal(escape_profile_limit(model, r, times), escape_profile_limit(fresh, r, times))
 
 
 def test_finite_horizon_path_shape_and_endpoints():
