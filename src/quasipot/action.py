@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .linear import _expm
-from .models import LinearDrift, LocalModel, Path
+from .models import DegenerateCovariance, LinearDrift, LocalModel, Path
 
 #: Action values at or above this are reported as unreachable (infinite).
 COST_CAP = 1e6
@@ -111,10 +111,15 @@ def _dual_value(
     lam: np.ndarray, w: np.ndarray, cov: np.ndarray, nu: np.ndarray, f: np.ndarray
 ) -> np.ndarray:
     """``l . w - l^T c l / 2 - sum_j nu_j (e^{l . f_j} - 1 - l . f_j)``, the dual, per row."""
-    val = np.einsum("md,md->m", lam, w) - 0.5 * np.einsum("md,mde,me->m", lam, cov, lam)
+    val = np.einsum("md,md->m", lam, w) - 0.5 * np.einsum("md,de,me->m", lam, cov, lam)
     if len(nu):
         val = val - _jump_cumulant(nu, np.einsum("mjd,md->mj", f, lam))
     return val
+
+
+def _dual_hessian(cov: np.ndarray, nu: np.ndarray, f: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``c + sum_j nu_j e^{z_j} f_j f_j^T`` per row, ``z_j = l . f_j``: minus the dual's Hessian."""
+    return cov + np.einsum("j,mj,mjd,mje->mde", nu, np.exp(np.minimum(z, 700.0)), f, f)
 
 
 def _dual_batch(
@@ -122,9 +127,11 @@ def _dual_batch(
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Maximize the dual for a batch of (state, velocity) pairs.
 
-    ``w``: (M, d) velocity minus drift; ``cov``: (M, d, d) diffusion
-    covariance; ``nu``: (J,) jump rates; ``f``: (M, J, d) jump sizes.
-    Returns (values, maximizers, iterations used, per-row convergence).
+    ``w``: (M, d) velocity minus drift; ``cov``: the (d, d) diffusion
+    covariance, shared by every row; ``nu``: (J,) jump rates; ``f``: (M, J, d)
+    jump sizes.  Returns (values, maximizers, iterations used, per-row
+    convergence).  Raises :class:`~quasipot.models.DegenerateCovariance` when
+    ``cov`` plus the jump covariance is singular.
 
     A row converges when its max-norm gradient is at most ``_DUAL_GRAD_TOL``,
     or when its Newton gain ``g^T H^{-1} g / 2`` is below the rounding error
@@ -133,16 +140,16 @@ def _dual_batch(
     a row takes that last Newton step undamped.
     """
     M, d = w.shape
-    J = len(nu)
 
     # Gaussian maximizer as the starting point.  If the diffusion block is
-    # singular the full local covariance (guaranteed invertible by the
-    # nondegeneracy precondition) is used instead.
+    # singular the full covariance (the Hessian at 0) is used instead.
     try:
         lam = np.linalg.solve(cov, w[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        full = cov + np.einsum("j,mjd,mje->mde", nu, f, f)
-        lam = np.linalg.solve(full, w[..., None])[..., 0]
+        try:
+            lam = np.linalg.solve(_dual_hessian(cov, nu, f, np.zeros(f.shape[:-1])), w[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise DegenerateCovariance("the covariance is degenerate; the action is not defined there") from None
     val = _dual_value(lam, w, cov, nu, f)
     # The dual is 0 at lam = 0, so the sup is never negative.  Rows where the
     # Gaussian start lands below that (strong jump terms) or overflows restart
@@ -155,27 +162,21 @@ def _dual_batch(
     retired = np.zeros(M, dtype=bool)
     iters = 0
 
-    def gradient(lam: np.ndarray) -> np.ndarray:
-        g = w - np.einsum("mde,me->md", cov, lam)
-        if J:
-            z = np.einsum("mjd,md->mj", f, lam)
-            with np.errstate(over="ignore"):
-                ez = np.expm1(z)
-            g = g - np.einsum("j,mj,mjd->md", nu, ez, f)
-        return g
+    def gradient(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The dual's gradient, with ``z = f . l`` and ``e^z - 1`` it was built from."""
+        z = np.einsum("mjd,md->mj", f, lam)
+        with np.errstate(over="ignore"):
+            ez = np.expm1(z)
+        return w - np.einsum("de,me->md", cov, lam) - np.einsum("j,mj,mjd->md", nu, ez, f), z, ez
 
     for _ in range(_DUAL_MAX_ITER):
-        grad = gradient(lam)
+        grad, z, ez = gradient(lam)
         gnorm = np.abs(grad).max(axis=1)
         active = (gnorm > _DUAL_GRAD_TOL) & ~stalled & ~retired & np.isfinite(gnorm)
         if not active.any():
             break
         iters += 1
-        hess = cov.copy()
-        z = np.einsum("mjd,md->mj", f, lam)
-        if J:
-            expz = np.exp(np.minimum(z, 700.0))
-            hess = hess + np.einsum("j,mj,mjd,mje->mde", nu, expz, f, f)
+        hess = _dual_hessian(cov, nu, f, z)
         delta = np.zeros_like(lam)
         rows = np.where(active)[0]
         try:
@@ -193,13 +194,13 @@ def _dual_batch(
         rows = rows[usable]
         # Retire rows whose Newton gain is below the rounding error of the
         # dual's terms: the line search could only stall on them.
-        lam_r, z_r = lam[rows], z[rows]
+        lam_r = lam[rows]
         gain = 0.5 * np.einsum("md,md->m", grad[rows], delta[rows])
         with np.errstate(over="ignore"):
             noise = (
                 np.abs(np.einsum("md,md->m", lam_r, w[rows]))
-                + 0.5 * np.abs(np.einsum("md,mde,me->m", lam_r, cov[rows], lam_r))
-                + (nu * (np.abs(np.expm1(z_r)) + np.abs(z_r))).sum(axis=1)
+                + 0.5 * np.abs(np.einsum("md,de,me->m", lam_r, cov, lam_r))
+                + (nu * (np.abs(ez[rows]) + np.abs(z[rows]))).sum(axis=1)
             )
         done = gain <= 4.0 * np.finfo(float).eps * noise
         # A retiring row still takes its undamped step: the value cannot
@@ -207,7 +208,7 @@ def _dual_batch(
         # uses, gains its last digits from it.
         fin = rows[done]
         lam[fin] += delta[fin]
-        val[fin] = _dual_value(lam[fin], w[fin], cov[fin], nu, f[fin])
+        val[fin] = _dual_value(lam[fin], w[fin], cov, nu, f[fin])
         retired[fin] = True
         rows = rows[~done]
         if rows.size == 0:
@@ -219,7 +220,7 @@ def _dual_batch(
         while pending.any():
             sub = rows[pending]
             trial = lam[sub] + step[pending, None] * delta[sub]
-            tval = _dual_value(trial, w[sub], cov[sub], nu, f[sub])
+            tval = _dual_value(trial, w[sub], cov, nu, f[sub])
             good = np.isfinite(tval) & (tval > val[sub])
             stuck = ~good & (trial == lam[sub]).all(axis=1)
             take = sub[good]
@@ -229,17 +230,9 @@ def _dual_batch(
             pending[np.where(pending)[0][good | stuck]] = False
             step[pending] *= 0.5
 
-    grad = gradient(lam)
+    grad = gradient(lam)[0]
     converged = retired | (np.abs(grad).max(axis=1) <= _DUAL_GRAD_TOL)
     return val, lam, iters, converged
-
-
-def _dual_inputs(model: LocalModel, y: np.ndarray, v: np.ndarray):
-    w = v - model.drift_at(y)
-    cov = model.noise_covariance(y)
-    f = model.jump_values(y)
-    nu = model.jump_rates
-    return w, cov, nu, f
 
 
 def _chords(points: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +242,8 @@ def _chords(points: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _action(model: LocalModel, y: np.ndarray, v: np.ndarray, dt: float) -> ActionValue:
     """``dt * sum_k L(y_k, v_k)``, with the rows whose dual solve did not converge."""
-    val, _, iters, conv = _dual_batch(*_dual_inputs(model, y, v))
+    w = v - model.drift_at(y)
+    val, _, iters, conv = _dual_batch(w, model.noise_cov, model.jump_rates, model.jump_values(y))
     failed = tuple(int(k) for k in np.where(~conv)[0])
     return ActionValue(float((dt * val).sum()), iters, not failed, failed)
 
@@ -306,8 +300,8 @@ def _value_and_gradient(
     sensitivity plus the chord-velocity term.
     """
     y, v = _chords(points, dt)
-    w, cov, nu, f = _dual_inputs(model, y, v)
-    val, lam, _, _ = _dual_batch(w, cov, nu, f)
+    f = model.jump_values(y)
+    val, lam, _, _ = _dual_batch(v - model.drift_at(y), model.noise_cov, model.jump_rates, f)
     dldy = -_hamiltonian_state_gradient(model, y, lam, f)
     grad = np.zeros_like(points)
     grad[1:-1] = 0.5 * dt * (dldy[:-1] + dldy[1:]) + (lam[:-1] - lam[1:])
@@ -420,7 +414,7 @@ def _geometric_cost(model: LocalModel, points: np.ndarray):
     chords whose local solve did not converge.
     """
     y, u = 0.5 * (points[:-1] + points[1:]), np.diff(points, axis=0)
-    b, cov = model.drift_at(y), model.noise_covariance(y)
+    b, cov = model.drift_at(y), model.noise_cov
     nu, f = model.jump_rates, model.jump_values(y)
     hess = model.local_covariance(y)
     cb = np.linalg.solve(hess, b[..., None])[..., 0]
@@ -434,11 +428,9 @@ def _geometric_cost(model: LocalModel, points: np.ndarray):
         if rows.size == 0:
             break
         sr, ur = s[rows], u[rows]
-        val[rows], lam[rows], its, converged[rows] = _dual_batch(sr[:, None] * ur - b[rows], cov[rows], nu, f[rows])
+        val[rows], lam[rows], its, converged[rows] = _dual_batch(sr[:, None] * ur - b[rows], cov, nu, f[rows])
         iterations = max(iterations, its)
-        with np.errstate(over="ignore"):
-            expz = np.exp(np.minimum(np.einsum("mjd,md->mj", f[rows], lam[rows]), 700.0))
-        hess[rows] = cov[rows] + np.einsum("j,mj,mjd,mje->mde", nu, expz, f[rows], f[rows])
+        hess[rows] = _dual_hessian(cov, nu, f[rows], np.einsum("mjd,md->mj", f[rows], lam[rows]))
         g = sr * np.einsum("md,md->m", ur, lam[rows]) - val[rows]
         slope = sr * np.einsum("md,md->m", ur, np.linalg.solve(hess[rows], ur[..., None])[..., 0])
         lo[rows], hi[rows] = np.where(g < 0, sr, lo[rows]), np.where(g > 0, sr, hi[rows])
@@ -584,7 +576,7 @@ def quasipotential_1d(
 
     start, end = float(a[0]), float(x[0])
     sign = 1.0 if end >= start else -1.0
-    nu = model.jump_rates
+    c, nu = float(model.noise_cov[0, 0]), model.jump_rates
     iterations, roots_converged = 0, True
 
     def excess(y: float) -> float:
@@ -594,7 +586,6 @@ def quasipotential_1d(
         b = float(model.drift_at(state)[0, 0])
         if sign * b >= 0.0:
             return 0.0
-        c = float(model.noise_covariance(state)[0, 0, 0])
         f = model.jump_values(state)[0, :, 0]
 
         def slope(p: float) -> float:
@@ -701,13 +692,13 @@ def quasipotential_dual(model: LocalModel, attractor: Sequence[float], target: S
     weights, flows = _flow_quadrature(b.tobytes(), model.dim)
     a, x = _escape_endpoints(model, attractor, target)
     r = x - a
-    gram = np.einsum("k,kde,ef,kgf->dg", weights, flows, model.noise_covariance(r), flows)
+    gram = np.einsum("k,kde,ef,kgf->dg", weights, flows, model.noise_cov, flows)
     gram = 0.5 * (gram + gram.T)
     pushed = np.einsum("kde,je->kjd", flows, model.jump_values(r))  # e^{B s_k} f_j
     rates = np.outer(weights, model.jump_rates)
     with np.errstate(over="ignore", invalid="ignore"):
         val, _, iterations, converged = _dual_batch(
-            r[None], gram[None], rates.ravel(), pushed.reshape(1, -1, model.dim)
+            r[None], gram, rates.ravel(), pushed.reshape(1, -1, model.dim)
         )
     if val[0] >= COST_CAP:
         return ActionValue(math.inf, iterations, True)

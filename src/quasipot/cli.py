@@ -10,8 +10,8 @@ Four subcommands share one problem-spec format:
 - ``linear``: Gramian quasipotential at one attractor, write ``report.json``
   and ``paths.csv``.
 
-Exit codes: 0 on success, 2 for a bad problem spec, 3 for solver failures,
-4 when computed rates violate flux balance.
+Exit codes: 0 on success, 2 for a bad problem spec or output directory, 3
+for solver failures, 4 when computed rates violate flux balance.
 """
 
 from __future__ import annotations
@@ -92,7 +92,10 @@ def _write_report(out_dir: str, payload: dict) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise SpecError(f"cannot create output directory {args.out}: {exc}") from None
     if args.command == "attractors":
         _write_report(args.out, run_attractors(spec))
     elif args.command == "rates":

@@ -8,7 +8,7 @@ to ``(..., d)``, with its exact ``jacobian``, ``(..., d)`` to ``(..., d, d)``.
 
 The local covariance ``c(y) = sigma sigma^T + sum_j nu_j f_j f_j^T`` governs
 nondegeneracy: every routine that inverts it checks positive definiteness
-first and raises a clear error instead of propagating a numerical one.
+first and raises :class:`DegenerateCovariance` instead of a numerical error.
 """
 
 from __future__ import annotations
@@ -100,12 +100,16 @@ class JumpAtom:
         object.__setattr__(self, "matrix", mat)
 
 
+class DegenerateCovariance(ValueError):
+    """The covariance is singular where the action needs it: the action is not defined there."""
+
+
 @dataclass(frozen=True, eq=False)
 class LocalModel:
     """Jump diffusion ``dX = b dt + n^{-1/2} sigma dW + jump noise``.
 
     ``drift`` maps ``(..., d) -> (..., d)`` and has a ``jacobian``; ``diffusion``
-    is a constant ``(d, m)`` matrix, stored read-only with ``sigma sigma^T``.
+    is a constant ``(d, m)`` matrix, stored read-only with ``noise_cov = sigma sigma^T``.
     Jump channels fire at rate ``n * nu_j`` with increments ``f_j(X) / n``,
     so drift, diffusion and jumps all contribute at the same exponential
     order as the scale parameter ``n`` grows.  The channels' rates ``(J,)``,
@@ -116,7 +120,7 @@ class LocalModel:
     drift: Drift
     diffusion: np.ndarray
     jumps: tuple[JumpAtom, ...] = ()
-    _noise_cov: np.ndarray = field(init=False, repr=False, compare=False)
+    noise_cov: np.ndarray = field(init=False, repr=False)
     jump_rates: np.ndarray = field(init=False, repr=False)
     _jump_vectors: np.ndarray = field(init=False, repr=False)
     jump_matrices: np.ndarray = field(init=False, repr=False)
@@ -138,7 +142,7 @@ class LocalModel:
                 raise ValueError(f"jump vector must have length {d}, got shape {atom.vector.shape}")
         stored = {
             "diffusion": sig,
-            "_noise_cov": sig @ sig.T,
+            "noise_cov": sig @ sig.T,
             "jump_rates": np.array([atom.rate for atom in jumps], dtype=float),
             "_jump_vectors": np.array([atom.vector for atom in jumps]).reshape(j, d),
             "jump_matrices": np.array([atom.matrix for atom in jumps]).reshape(j, d, d),
@@ -169,10 +173,6 @@ class LocalModel:
         maps = y @ self.jump_matrices.reshape(j * d, d).T
         return self._jump_vectors + maps.reshape(y.shape[:-1] + (j, d))
 
-    def noise_covariance(self, y: np.ndarray) -> np.ndarray:
-        """``sigma sigma^T`` at ``y``: a read-only view of shape ``(..., d, d)``."""
-        return np.broadcast_to(self._noise_cov, np.shape(y)[:-1] + self._noise_cov.shape)
-
     def jump_covariance(self, y: np.ndarray) -> np.ndarray:
         """``sum_j nu_j f_j f_j^T`` at ``y``, shape ``(..., d, d)``."""
         f = self.jump_values(y)
@@ -180,7 +180,7 @@ class LocalModel:
 
     def local_covariance(self, y: np.ndarray) -> np.ndarray:
         """Total second-order coefficient ``c(y)``."""
-        return self.noise_covariance(y) + self.jump_covariance(y)
+        return self.noise_cov + self.jump_covariance(y)
 
     def assert_nondegenerate(self, y: np.ndarray) -> None:
         """Raise unless ``c(y)`` is positive definite at every given state."""
@@ -190,7 +190,7 @@ class LocalModel:
             try:
                 np.linalg.cholesky(mat)
             except np.linalg.LinAlgError:
-                raise ValueError(
+                raise DegenerateCovariance(
                     "local covariance is degenerate at a requested state "
                     f"(index {k} of the batch); the action is not defined there"
                 ) from None

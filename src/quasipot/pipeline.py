@@ -62,7 +62,7 @@ from .maxplus import (
     shortest_path_closure,
     stationary_rates,
 )
-from .models import JumpAtom, LinearDrift, LocalModel, PolynomialDrift
+from .models import DegenerateCovariance, JumpAtom, LinearDrift, LocalModel, PolynomialDrift
 from .simulate import (
     SimConfig,
     SimulationBlowup,
@@ -613,18 +613,22 @@ def _escape_costs(
     ``equilibria`` as the 1-D quadrature's breakpoints.  Returns
     ``costs[k, i]`` (zero where no task asked) and the number of unconverged
     solves; raises :class:`SolverError` when that number exceeds the spec's
-    failure quota as a fraction of all tasks.
+    failure quota as a fraction of all tasks, and :class:`SpecError` when the
+    covariance is degenerate, where the action is not defined.
     """
-    results = [
-        quasipotential(
-            model,
-            sources[i],
-            targets[k],
-            equilibria=equilibria,
-            num_segments=spec.solver.path_points,
-        )
-        for i, k in tasks
-    ]
+    try:
+        results = [
+            quasipotential(
+                model,
+                sources[i],
+                targets[k],
+                equilibria=equilibria,
+                num_segments=spec.solver.path_points,
+            )
+            for i, k in tasks
+        ]
+    except DegenerateCovariance as exc:
+        raise SpecError(str(exc)) from None
     unconverged = sum(not res.converged for res in results)
     if tasks and unconverged / len(tasks) > spec.failure_quota:
         raise SolverError(

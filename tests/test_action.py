@@ -406,15 +406,16 @@ def test_quasipotential_with_jumps_converges(jump_ou_minimized):
 def test_retired_dual_rows_reach_the_maximizer():
     # A row retired by the rounding rule takes its last Newton step, so the
     # maximizer is exact and the envelope gradient with it.
-    from quasipot.action import _chords, _dual_batch, _dual_inputs, _value_and_gradient
+    from quasipot.action import _chords, _dual_batch, _value_and_gradient
 
     model = GRADIENT_MODELS["ou-constant-jump"]
     pts = np.cumsum(np.random.default_rng(3).normal(scale=0.2, size=(9, 1)), axis=0)
     dt = 0.25
-    w, cov, nu, f = _dual_inputs(model, *_chords(pts, dt))
+    y, v = _chords(pts, dt)
+    w, cov, nu, f = v - model.drift_at(y), model.noise_cov, model.jump_rates, model.jump_values(y)
     _, lam, _, converged = _dual_batch(w, cov, nu, f)
     jumps = np.expm1(np.einsum("mjd,md->mj", f, lam))
-    dual_grad = w - np.einsum("mde,me->md", cov, lam) - np.einsum("j,mj,mjd->md", nu, jumps, f)
+    dual_grad = w - np.einsum("de,me->md", cov, lam) - np.einsum("j,mj,mjd->md", nu, jumps, f)
     assert converged.all() and len(converged) == 8
     assert np.abs(dual_grad).max() <= 1e-10
     _, grad = _value_and_gradient(model, pts, dt)

@@ -275,6 +275,40 @@ def test_validate_blowup_names_its_rung(tmp_path, capsys):
     )
 
 
+#: A 2-D diagonal linear drift whose noise drives only the first axis.
+DEGENERATE_NOISE_SPEC = {
+    "dimension": 2,
+    "drift": {"kind": "linear", "matrix": [[-1.0, 0.0], [0.0, -2.0]]},
+    "diffusion": [[1.0], [0.0]],
+    "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "resolution": 3},
+    "evaluation_points": [[0.5, 0.5]],
+}
+
+
+@pytest.mark.parametrize(
+    "jumps",
+    [[], [{"rate": 1.0, "vector": [1.0, 0.0], "matrix": [[0.1, 0.0], [0.0, 0.0]]}]],
+    ids=["convex-dual", "minimum-action"],
+)
+def test_degenerate_noise_is_exit_2(tmp_path, capsys, jumps):
+    # Neither the noise nor the jumps reach the second axis: the action is
+    # not defined there, whichever route solves the escape costs.
+    spec = write_spec(tmp_path, {**DEGENERATE_NOISE_SPEC, "jumps": jumps})
+    assert cli.main(["rates", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and "degenerate" in err
+    assert err.count("\n") == 1
+
+
+def test_out_naming_a_file_is_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["attractors", "--spec", str(SPECS / "ou1d.json"), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spec error: cannot create output directory {taken}: ")
+    assert err.count("\n") == 1
+
+
 def test_seed_is_a_validate_option_only(tmp_path):
     spec = write_spec(tmp_path, fast_ou_spec())
     with pytest.raises(SystemExit) as exc:

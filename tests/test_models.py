@@ -126,19 +126,17 @@ def test_diffusion_is_a_constant_matrix():
     model = LocalModel(2, DECAY2, sig)
     y = np.random.default_rng(0).normal(size=(5, 3, 2))
     sig_at = model.diffusion_at(y)
-    cov_at = model.noise_covariance(y)
-    assert sig_at.shape == (5, 3, 2, 2) and cov_at.shape == (5, 3, 2, 2)
-    assert not sig_at.flags.writeable and not cov_at.flags.writeable
+    assert sig_at.shape == (5, 3, 2, 2) and model.noise_cov.shape == (2, 2)
+    assert not sig_at.flags.writeable and not model.noise_cov.flags.writeable
     np.testing.assert_array_equal(sig_at, np.broadcast_to(sig, (5, 3, 2, 2)))
-    np.testing.assert_array_equal(cov_at, np.broadcast_to(sig @ sig.T, (5, 3, 2, 2)))
+    np.testing.assert_array_equal(model.noise_cov, sig @ sig.T)
     assert np.shares_memory(sig_at, model.diffusion)
 
 
 def test_noise_covariance_formula():
     model = make_toy_model()
-    y = np.zeros((1, 2))
     sig = np.array([[1.0, 0.0], [0.5, 2.0]])
-    np.testing.assert_allclose(model.noise_covariance(y)[0], sig @ sig.T)
+    np.testing.assert_allclose(model.noise_cov, sig @ sig.T)
 
 
 def test_jump_covariance_formula():
@@ -152,7 +150,7 @@ def test_jump_covariance_formula():
     np.testing.assert_allclose(got, want)
     np.testing.assert_allclose(
         model.local_covariance(np.zeros(2)),
-        model.noise_covariance(np.zeros(2)) + want,
+        model.noise_cov + want,
     )
 
 
