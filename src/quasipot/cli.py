@@ -104,8 +104,8 @@ def _run(args: argparse.Namespace) -> int:
         header, rows = rates_csv_rows(report)
         write_csv(os.path.join(args.out, "rates.csv"), header, rows)
     elif args.command == "validate":
-        report, results = run_validate(spec, seed=args.seed)
-        _write_report(args.out, validation_dict(report, results))
+        report, results, seed = run_validate(spec, seed=args.seed)
+        _write_report(args.out, validation_dict(report, results, seed))
         header, rows = rates_csv_rows(report)
         write_csv(os.path.join(args.out, "rates.csv"), header, rows)
         header, rows = empirical_csv_rows(results)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .models import Path
+from .models import DegenerateCovariance, Path
 
 #: Largest state dimension for the dense Kronecker Lyapunov solve.
 MAX_LYAPUNOV_DIM = 20
@@ -38,7 +38,8 @@ class LinearModel:
     """Linearized dynamics at an attractor: stable ``Db`` and covariance ``c``.
 
     ``Db`` must be Hurwitz (all eigenvalue real parts strictly negative) and
-    ``c`` symmetric positive definite; both are validated on construction.
+    ``c`` symmetric positive definite; both are validated on construction,
+    and a singular ``c`` raises :class:`DegenerateCovariance`.
     The Lyapunov Gramian is solved on first use and kept, read-only; so is
     each table of :meth:`flow`.
     """
@@ -63,7 +64,9 @@ class LinearModel:
         try:
             np.linalg.cholesky(c)
         except np.linalg.LinAlgError:
-            raise ValueError("covariance must be positive definite") from None
+            raise DegenerateCovariance(
+                "the covariance is degenerate; the closed forms need it positive definite"
+            ) from None
         alpha = np.linalg.eigvals(db).real.max()
         if not alpha < 0:
             raise ValueError(

@@ -13,16 +13,18 @@ reports:
   simulation across a ladder of noise scales.
 - :func:`run_linear`: closed-form Gramian quasipotentials at one attractor.
 
-All outputs are deterministic: no timestamps, keys sorted, floats printed
-with 17 significant digits, and ``Infinity``/``NaN`` written as the literal
-tokens Python's ``json`` module reads back.  Escape-cost solves run one
+All outputs are deterministic: no timestamps, keys sorted, and floats in
+Python's shortest round-trip form (``repr``), written by the standard
+``json`` and ``csv`` modules.  Non-finite floats are ``Infinity``,
+``-Infinity`` and ``NaN`` in JSON and ``inf``, ``-inf`` and ``nan`` in CSV;
+``json.loads`` and ``float`` read them back.  Escape-cost solves run one
 after another, in a fixed task order, in the calling thread.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -385,72 +387,23 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
 # Deterministic serialization
 
 
-def format_float(x: float) -> str:
-    """17-significant-digit decimal, with json-module-compatible non-finites."""
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
-
-
-def _to_json(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(", ")
-            _to_json(str(key), out)
-            out.append(": ")
-            _to_json(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(", ")
-            _to_json(item, out)
-        out.append("]")
-    elif isinstance(obj, np.ndarray):
-        _to_json(obj.tolist(), out)
-    elif isinstance(obj, (np.integer,)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (np.floating,)):
-        out.append(format_float(float(obj)))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dump_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, 17-digit floats, LF newline."""
-    out: list[str] = []
-    _to_json(obj, out)
-    return "".join(out) + "\n"
+    """JSON text with sorted keys, shortest round-trip floats and an LF newline."""
+    return json.dumps(obj, sort_keys=True, default=_plain) + "\n"
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    """CSV with LF line endings and 17-significant-digit floats."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [format_float(v) if isinstance(v, (float, np.floating)) else v for v in row]
-        )
+    """CSV with LF line endings; floats in shortest round-trip form."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(buf.getvalue())
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -728,17 +681,18 @@ def rates_csv_rows(report: RateReport) -> tuple[list[str], list[list[object]]]:
 
 def run_validate(
     spec: ProblemSpec, seed: int | None = None
-) -> tuple[RateReport, list[ValidationReport]]:
+) -> tuple[RateReport, list[ValidationReport], int]:
     """Predictions from :func:`run_rates` against a simulation ladder.
 
     ``seed`` overrides ``simulation.seed`` and passes the same check, before
-    any solve.  The bin-center escape costs join the batch of solves of the
-    `rates` report, so they count toward its failure quota and
-    ``solver_runs``.  Replicas start from the spec's ``simulation.initial``
-    rows or else from the stable attractors, in turn.  One :func:`simulate`
-    call runs the whole ``simulation.n_values`` ladder; each rung's sample
-    cloud gives an empirical rate estimate on the spec bins, compared
-    against the predicted rate at the populated bin centers.
+    any solve; the seed the simulation used is returned last.  The
+    bin-center escape costs join the batch of solves of the `rates` report,
+    so they count toward its failure quota and ``solver_runs``.  Replicas
+    start from the spec's ``simulation.initial`` rows or else from the
+    stable attractors, in turn.  One :func:`simulate` call runs the whole
+    ``simulation.n_values`` ladder; each rung's sample cloud gives an
+    empirical rate estimate on the spec bins, compared against the predicted
+    rate at the populated bin centers.
     """
     if spec.simulation is None:
         raise SpecError("validate requires a 'simulation' section in the problem spec")
@@ -764,13 +718,14 @@ def run_validate(
             # too few samples is a sizing problem in the simulation section
             raise SpecError(str(exc)) from None
         results.append(validation_report(predicted, emp))
-    return report, results
+    return report, results, config.seed
 
 
-def validation_dict(report: RateReport, results: list[ValidationReport]) -> dict:
+def validation_dict(report: RateReport, results: list[ValidationReport], seed: int) -> dict:
     sups = [r.sup_error for r in results]
     out = report.to_dict()
     out["validation"] = {
+        "seed": seed,
         "runs": [
             {
                 "n": r.n,
@@ -807,8 +762,9 @@ def run_linear(spec: ProblemSpec, attractor_index: int | None = None) -> dict:
 
     The chosen equilibrium must be classified stable; marginal ones are
     refused because the Gramian does not exist at a neutral linearization.
-    A horizon past the overflow-safe maximum for the drift found there is a
-    :class:`SpecError` that names that maximum.
+    A degenerate covariance at the attractor is a :class:`SpecError`, and so
+    is a horizon past the overflow-safe maximum for the drift found there;
+    that message names the maximum.
     """
     if spec.linear is None:
         raise SpecError("linear requires a 'linear' section in the problem spec")
@@ -829,6 +785,8 @@ def run_linear(spec: ProblemSpec, attractor_index: int | None = None) -> dict:
     cov = model.local_covariance(eq.position)
     try:
         lin = LinearModel(eq.jacobian, cov)
+    except DegenerateCovariance as exc:
+        raise SpecError(str(exc)) from None
     except ValueError as exc:
         raise SolverError(str(exc)) from None
     gram = lyapunov_gramian(lin)

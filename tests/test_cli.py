@@ -148,6 +148,9 @@ def test_validate_seed_override_changes_empirical_only(tmp_path):
     assert (out_c / "empirical.csv").read_text() == base
     # predictions do not depend on the seed
     assert (out_b / "rates.csv").read_text() == (out_a / "rates.csv").read_text()
+    # the report names the seed the simulation used
+    seeds = [json.loads((out / "report.json").read_text())["validation"]["seed"] for out in (out_a, out_b)]
+    assert seeds == [SMALL_SIMULATION["seed"], 99]
     # no evaluation points still gives the coordinate columns
     assert (out_a / "rates.csv").read_text() == "x0,rate\n"
 
@@ -282,6 +285,7 @@ DEGENERATE_NOISE_SPEC = {
     "diffusion": [[1.0], [0.0]],
     "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "resolution": 3},
     "evaluation_points": [[0.5, 0.5]],
+    "linear": {"attractor_index": 0, "displacements": [[0.5, 0.5]], "horizon": 5.0, "samples": 10},
 }
 
 
@@ -292,12 +296,14 @@ DEGENERATE_NOISE_SPEC = {
 )
 def test_degenerate_noise_is_exit_2(tmp_path, capsys, jumps):
     # Neither the noise nor the jumps reach the second axis: the action is
-    # not defined there, whichever route solves the escape costs.
+    # not defined there, whichever route solves the escape costs, and the
+    # linear closed forms have no positive definite covariance.
     spec = write_spec(tmp_path, {**DEGENERATE_NOISE_SPEC, "jumps": jumps})
-    assert cli.main(["rates", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("spec error: ") and "degenerate" in err
-    assert err.count("\n") == 1
+    for command in ("rates", "linear"):
+        assert cli.main([command, "--spec", spec, "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: ") and "degenerate" in err
+        assert err.count("\n") == 1
 
 
 def test_out_naming_a_file_is_exit_2(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Problem-spec parsing, report assembly, and deterministic serialization."""
 
+import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import RotatedAffineJumps
@@ -14,13 +16,13 @@ from quasipot.pipeline import (
     SolverError,
     SpecError,
     dump_json,
-    format_float,
     parse_problem_spec,
     run_attractors,
     run_linear,
     run_rates,
     run_validate,
     validation_dict,
+    write_csv,
 )
 from quasipot.simulate import SimConfig
 
@@ -336,7 +338,7 @@ def test_every_solve_goes_through_quasipotential_once(monkeypatch):
     assert report.to_dict()["solver_runs"]["total"] == len(calls)
 
     rates_calls = len(calls)
-    report, _ = run_validate(spec)
+    report, _, _ = run_validate(spec)
     assert len(calls) - rates_calls == n * (n - 1) + n * points + n * bins
     assert report.to_dict()["solver_runs"]["total"] == len(calls) - rates_calls
     # The n(n-1) attractor-to-attractor solves come first and never start at
@@ -394,7 +396,7 @@ def test_one_dimensional_solves_skip_the_minimizer(monkeypatch):
     # I(0.5) = 2 (U(0.5) - U(1)) = 9/32 exactly
     assert report.evaluation_rates[1] == pytest.approx(9 / 32, abs=1e-10)
     assert report.to_dict()["provenance"]["escape_cost_method"] == "hamiltonian_quadrature"
-    report, results = run_validate(spec)
+    report, results, _ = run_validate(spec)
     assert report.unconverged == 0 and len(results) == 1
     assert report.provenance["escape_cost_method"] == "hamiltonian_quadrature"
     # linear drift without jump matrices takes the convex dual: I(r) = |r|^2
@@ -458,12 +460,13 @@ def test_run_validate_requires_simulation_section():
 def test_run_validate_small_ladder():
     raw = ou_spec_dict(evaluation_points=[], simulation=SMALL_LADDER)
     spec = parse_problem_spec(raw)
-    report, results = run_validate(spec)
+    report, results, seed = run_validate(spec)
     assert len(results) == 1
     run = results[0]
     assert run.n == 30
     assert run.sup_error < 0.12
-    payload = validation_dict(report, results)
+    payload = validation_dict(report, results, seed)
+    assert seed == payload["validation"]["seed"] == SMALL_LADDER["seed"]
     assert payload["validation"]["runs"][0]["n"] == 30
     assert payload["validation"]["monotone_trend"] is True
 
@@ -482,7 +485,7 @@ def test_run_validate_simulates_the_ladder_in_one_call(monkeypatch):
     monkeypatch.setattr(pipeline, "simulate", recording)
     ladder = dict(SMALL_LADDER, n_values=[20, 30])
     spec = parse_problem_spec(ou_spec_dict(evaluation_points=[], simulation=ladder))
-    _, results = run_validate(spec)
+    _, results, _ = run_validate(spec)
     assert len(calls) == 1
     args, kwargs = calls[0]
     assert kwargs == {} and len(args) == 2
@@ -538,17 +541,34 @@ def test_run_linear_refuses_unstable_equilibrium():
 # -- serialization ------------------------------------------------------------
 
 
-def test_format_float_literals():
-    assert format_float(float("inf")) == "Infinity"
-    assert format_float(float("-inf")) == "-Infinity"
-    assert format_float(float("nan")) == "NaN"
-    assert format_float(0.5) == "0.5"
+def test_writers_spell_non_finite_floats(tmp_path):
+    values = [float("inf"), float("-inf"), float("nan"), 0.5]
+    assert dump_json(values) == "[Infinity, -Infinity, NaN, 0.5]\n"
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["a", "b", "c", "d"], [values])
+    assert path.read_text() == "a,b,c,d\ninf,-inf,nan,0.5\n"
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
-@settings(max_examples=300, deadline=None)
-def test_format_float_round_trips_exactly(x):
-    assert float(format_float(x)) == x
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_writers_round_trip_every_finite_float(tmp_path, x):
+    back = json.loads(dump_json({"x": x, "np": np.float64(x), "arr": np.array([x])}))
+    path = tmp_path / "x.csv"
+    write_csv(str(path), ["x"], [[x]])
+    with open(path, newline="") as handle:
+        (cell,) = list(csv.reader(handle))[1]
+    for v in (back["x"], back["np"], back["arr"][0], float(cell)):
+        # equal, with the sign of zero kept
+        assert v == x and math.copysign(1.0, v) == math.copysign(1.0, x)
+
+
+def test_dump_json_keeps_integral_floats_floats():
+    back = json.loads(dump_json({"h": 10.0, "z": np.float64(0.0), "a": np.array([-0.0, 2.0])}))
+    assert type(back["h"]) is float and back["h"] == 10.0
+    assert type(back["z"]) is float and type(back["a"][1]) is float
+    assert math.copysign(1.0, back["a"][0]) == -1.0
 
 
 def test_dump_json_is_sorted_and_json_readable():
