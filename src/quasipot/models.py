@@ -41,32 +41,59 @@ class LinearDrift:
         return np.broadcast_to(self.matrix, np.shape(y)[:-1] + self.matrix.shape)
 
 
+def _horner_plan(coefficients: np.ndarray) -> tuple[float, tuple[float | None, ...]]:
+    """``P.polyval(x, coefficients)`` as ``(start, steps)`` for :func:`_horner`, in plain floats.
+
+    polyval forms ``c[-1] + x*0``, then ``c[k] + acc*x`` for ``k = n-2, ..., 0``.  The plan
+    keeps that order but drops two kinds of step that change no float on finite input: it
+    starts from ``x * c[-1]`` if ``c[-1] != 0``, and it never adds ``-0.0``.
+    """
+    *rest, lead = map(float, coefficients)
+    start, steps = (lead, [rest.pop()]) if rest and lead else (0.0, [lead])
+    for a in reversed(rest):
+        steps += [None, a]
+    return start, tuple(a for a in steps if a is None or a or not np.signbit(a))
+
+
+def _horner(x: np.ndarray, start: float, steps: tuple[float | None, ...]) -> np.ndarray:
+    """``x * start``, then per step ``acc *= x`` for None and ``acc += a`` for a float ``a``."""
+    acc = x * start
+    for a in steps:
+        if a is None:
+            acc *= x
+        else:
+            acc += a
+    return acc
+
+
 @dataclass(frozen=True, eq=False)
 class PolynomialDrift:
     """One-dimensional drift ``b(y) = sum_k coefficients[k] y^k``.
 
-    Coefficients are in ascending order.  They and the derivative's
-    coefficients, computed once, are stored read-only.
+    Coefficients are in ascending order and stored read-only.  The drift and its
+    derivative equal ``P.polyval`` bit for bit on finite input, by one Horner plan
+    each, made once, that skips polyval's ``c[-1] + x*0`` start where ``c[-1] != 0``
+    and every addition of ``-0.0``, the zero that ``gradient_polynomial`` makes.
     """
 
     coefficients: np.ndarray
-    _derivative: np.ndarray = field(init=False, repr=False)
+    _value_plan: tuple = field(init=False, repr=False)
+    _slope_plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         coeffs = np.array(self.coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError(f"coefficients must be a nonempty vector, got shape {coeffs.shape}")
-        deriv = P.polyder(coeffs)
-        for name, arr in (("coefficients", coeffs), ("_derivative", deriv)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "_value_plan", _horner_plan(coeffs))
+        object.__setattr__(self, "_slope_plan", _horner_plan(P.polyder(coeffs)))
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return P.polyval(y[..., 0], self.coefficients)[..., None]
+        return _horner(np.asarray(y, dtype=float)[..., :1], *self._value_plan)
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
-        return P.polyval(np.asarray(y, dtype=float)[..., 0], self._derivative)[..., None, None]
+        return _horner(np.asarray(y, dtype=float)[..., :1], *self._slope_plan)[..., None]
 
 
 Drift = LinearDrift | PolynomialDrift

@@ -14,7 +14,8 @@ are reproducible and each rung's samples equal a one-rung run, whatever the
 number of replicas or rungs run together.  Without jumps the rungs share
 each replica's normals and only scale them by ``sqrt(dt / n)``; with jumps
 every (rung, replica) pair keeps its own stream, because the Poisson draws
-depend on ``n``.
+depend on ``n``.  Kicks are scaled, and the blowup test runs, once per
+chunk of ``_CHUNK`` steps.
 Occupation statistics turn into empirical rates via
 ``-(1/n) log(relative frequency)``, shifted so the most occupied bin sits
 at rate 0.
@@ -36,6 +37,9 @@ BLOWUP_LIMIT = 1e6
 #: Fixed per-replica draw block (steps per RNG call); part of the
 #: reproducibility contract, since changing it would reorder draws.
 _BLOCK = 16384
+
+#: Euler steps taken between two blowup checks; only a matter of speed.
+_CHUNK = 32
 
 #: Minimum number of samples required to form an empirical rate.
 MIN_SAMPLES = 10_000
@@ -140,7 +144,9 @@ def simulate(model: LocalModel, config: SimConfig) -> np.ndarray:
     Without jumps a replica's normals do not depend on ``n``, so one stream
     per replica feeds every rung; with jumps each (rung, replica) owns a
     stream, because its Poisson draws at rate ``n nu dt`` interleave with
-    its normals.
+    its normals.  Every model takes one step in the float operations of a
+    per-step loop, so samples do not depend on ``_CHUNK``; a blowup names
+    the first step, and the lowest rung, past the limit.
     """
     d = model.dim
     if config.initial is None:
@@ -161,11 +167,17 @@ def simulate(model: LocalModel, config: SimConfig) -> np.ndarray:
     nu = model.jump_rates
     j = len(nu)
     streams = [_replica_rngs(config.seed, reps) for _ in range(rungs if j else 1)]
-    # per-rung factors, shaped to broadcast over (rungs, replicas, ...)
-    n_col = np.array(n_values, dtype=float)[:, None, None]
+    # per-rung factors, shaped to broadcast over (rungs, replicas, steps, ...)
+    n_col = np.array(n_values, dtype=float)[:, None, None, None]
     scale = np.sqrt(dt / n_col)
 
-    x = np.tile(config.initial, (rungs, 1))  # rung-major (rungs * replicas, d)
+    rows = rungs * reps
+    # step-major chunk buffers of states (hist[0] precedes the chunk), scaled kicks and jump
+    # weights, filled through (rungs, replicas, steps, ...) views in the order of the draws
+    hist = np.empty((_CHUNK + 1, rows, d))
+    hist[0] = np.tile(config.initial, (rungs, 1))
+    kick, weights, incr = np.empty((_CHUNK, rows, d)), np.empty((_CHUNK, rows, j)), np.empty((rows, d))
+    kick_in, weights_in = (a.reshape(_CHUNK, rungs, reps, -1).transpose(1, 2, 0, 3) for a in (kick, weights))
     out = np.empty((rungs, reps, snapshots, d))
     step = 0
     while step < total_steps:
@@ -180,26 +192,38 @@ def simulate(model: LocalModel, config: SimConfig) -> np.ndarray:
                 [[rng.poisson(n * nu * dt, (block, j)) for rng in rngs] for n, rngs in zip(n_values, streams)],
                 dtype=float,
             )
-        for k in range(block):
-            incr = model.drift_at(x) * dt + (kicks[:, :, k] * scale).reshape(x.shape)
+        for k0 in range(0, block, _CHUNK):
+            c = min(_CHUNK, block - k0)
+            np.multiply(kicks[:, :, k0 : k0 + c], scale, out=kick_in[:, :, :c])
             if j:
-                weights = (counts[:, :, k] / n_col - nu * dt).reshape(-1, j)
-                incr = incr + np.einsum("rj,rjd->rd", weights, model.jump_values(x))
-            x = x + incr
-            step += 1
-            # one flat maximum per step is cheaper than per-rung maxima; a NaN
+                np.subtract(counts[:, :, k0 : k0 + c] / n_col, nu * dt, out=weights_in[:, :, :c])
+            # a runaway keeps stepping to the chunk's end; its overflow is caught below, not warned
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, x in enumerate(hist[:c]):
+                    np.multiply(model.drift_at(x), dt, out=incr)
+                    incr += kick[i]
+                    if j:
+                        incr += np.einsum("rj,rjd->rd", weights[i], model.jump_values(x))
+                    np.add(x, incr, out=hist[i + 1])
+            # one flat maximum per chunk is cheaper than per-rung maxima; a NaN
             # also fails it, but only a rung past the limit raises, as in a one-rung run
-            if not np.abs(x).max() <= BLOWUP_LIMIT:
-                over = np.abs(x).reshape(rungs, -1).max(axis=1) > BLOWUP_LIMIT
+            if not np.abs(hist[1 : c + 1]).max() <= BLOWUP_LIMIT:
+                over = np.abs(hist[1 : c + 1]).reshape(c, rungs, -1).max(axis=2) > BLOWUP_LIMIT
                 if over.any():
+                    first, rung = np.argwhere(over)[0]  # the earliest step, then the lowest rung
+                    at = step + first + 1
                     raise SimulationBlowup(
-                        n_values[over.argmax()],
-                        f"state magnitude exceeded {BLOWUP_LIMIT:g} at step {step} "
-                        f"(time {step * dt:.6g}); the drift does not appear to "
+                        n_values[rung],
+                        f"state magnitude exceeded {BLOWUP_LIMIT:g} at step {at} "
+                        f"(time {at * dt:.6g}); the drift does not appear to "
                         "confine the dynamics on this domain",
                     )
-            if step > burn and (step - burn) % config.stride == 0:
-                out[:, :, (step - burn) // config.stride - 1] = x.reshape(rungs, reps, d)
+            # the first recorded step after this chunk's start, then every stride-th one
+            recorded = burn + config.stride * max(1, (step - burn) // config.stride + 1)
+            for at in range(recorded, step + c + 1, config.stride):
+                out[:, :, (at - burn) // config.stride - 1] = hist[at - step].reshape(rungs, reps, d)
+            hist[0] = hist[c]
+            step += c
     return out.reshape(rungs, reps * snapshots, d)
 
 

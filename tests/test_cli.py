@@ -278,6 +278,19 @@ def test_validate_blowup_names_its_rung(tmp_path, capsys):
     )
 
 
+@pytest.mark.filterwarnings("error")  # a warning would print to stderr before the error line
+def test_validate_runaway_is_one_error_line(tmp_path, capsys):
+    # an Euler step of 10 on the double well overshoots the wells and runs away
+    payload = json.loads((SPECS / "double_well_mc.json").read_text())
+    payload["simulation"].update(dt=10.0, burn_in=0.0, stride=1)
+    spec = write_spec(tmp_path, payload)
+    assert cli.main(["validate", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "solver error: simulation at n=20 failed: state magnitude exceeded 1e+06 at step 4 "
+        "(time 40); the drift does not appear to confine the dynamics on this domain\n"
+    )
+
+
 #: A 2-D diagonal linear drift whose noise drives only the first axis.
 DEGENERATE_NOISE_SPEC = {
     "dimension": 2,

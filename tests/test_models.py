@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import AnalyticDrift
 from quasipot.models import JumpAtom, LinearDrift, LocalModel, Path, PolynomialDrift
@@ -86,6 +87,41 @@ def test_drift_records_evaluate_as_the_spec_closures_bitwise():
     for y in (np.linspace(-3.0, 3.0, 601)[:, None], rng.normal(size=(4, 5, 1))):
         want = np.polynomial.polynomial.polyval(y[..., 0], coeffs)[..., None]
         assert np.array_equal(PolynomialDrift(coeffs)(y), want)
+
+
+#: Coefficients with signed zeros mixed in, among them a zero leading one and a single one.
+POLY_COEFFS = st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0), min_size=1, max_size=7)
+#: Finite states with signed zeros and NaN mixed in, as (1,), (k, 1) or (r, k, 1) arrays.
+POLY_STATES = st.sampled_from([(1,), (5, 1), (2, 3, 1)]).flatmap(
+    lambda shape: hnp.arrays(
+        float, shape, elements=st.sampled_from([0.0, -0.0, np.nan]) | st.floats(allow_infinity=False)
+    )
+)
+
+
+@given(POLY_COEFFS, POLY_STATES)
+@example([-0.0, 0.15, -0.0, -0.15], np.array([[-0.0], [0.0], [np.nan], [1.3]]))
+@example([0.0, 2.0, -0.0], np.array([-0.0]))
+@example([-0.0], np.array([[[1.0]], [[np.nan]]]))
+@settings(max_examples=300, deadline=None)
+def test_polynomial_drift_equals_polyval_bitwise(coeffs, y):
+    """The drift and its derivative are ``P.polyval`` bit for bit, signed zeros and NaN alike.
+
+    Infinite states are excluded: there polyval's start ``c[-1] + x*0`` is
+    NaN and the short start ``x * c[-1]`` is infinite.  ``simulate`` never
+    keeps a step taken from an infinite state.
+    """
+    drift = PolynomialDrift(coeffs)
+    poly = np.polynomial.polynomial
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = (
+            (drift(y), poly.polyval(y[..., 0], coeffs)[..., None]),
+            (drift.jacobian(y), poly.polyval(y[..., 0], poly.polyder(coeffs))[..., None, None]),
+        )
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import pytest
 from quasipot.models import JumpAtom, LinearDrift, LocalModel, PolynomialDrift
 from quasipot.simulate import (
     _BLOCK,
+    _CHUNK,
     MIN_SAMPLES,
     EmpiricalRate,
     SimConfig,
@@ -136,6 +137,21 @@ def test_blowup_names_its_rung():
     assert info.value.n == 20
 
 
+def test_blowup_mid_chunk_in_a_later_block_names_its_first_step():
+    # noiseless exponential growth crosses the limit just past the first draw
+    # block, inside a chunk; every rung crosses together, so the first is named
+    lam, dt = 0.0843, 0.01
+    model = LocalModel(1, LinearDrift([[lam]]), np.zeros((1, 1)))
+    cfg = base_config(n_values=(50, 20), dt=dt, burn_in=0.0, horizon=200.0, initial=np.ones(1), replicas=2)
+    x, expected = 1.0, 0
+    while abs(x) <= 1e6:  # the simulator's float recurrence: x + (x * lam) * dt
+        x, expected = x + x * lam * dt, expected + 1
+    assert _BLOCK < expected < _BLOCK + _CHUNK and expected % _CHUNK
+    with pytest.raises(SimulationBlowup, match=rf"at step {expected} \(time ") as info:
+        simulate(model, cfg)
+    assert info.value.n == 50
+
+
 def reference_euler(model, cfg, n):
     """One rung at scale ``n``: Euler-Maruyama with ``sigma(X) xi`` evaluated at every step."""
     seeds = [np.random.SeedSequence((cfg.seed, r)) for r in range(cfg.replicas)]
@@ -174,18 +190,26 @@ def rotated_jump_model():
     return LocalModel(2, LinearDrift(matrix), sigma, atoms)
 
 
-REFERENCE_MODELS = pytest.mark.parametrize(
-    "model, initial",
-    [(ou_model(k=0.7, s=1.3), np.zeros(1)), (rotated_jump_model(), np.array([0.2, -0.1]))],
-    ids=["1d-no-jumps", "2d-m2-jumps"],
+REFERENCE_CASES = [(ou_model(k=0.7, s=1.3), np.zeros(1)), (rotated_jump_model(), np.array([0.2, -0.1]))]
+REFERENCE_MODELS = pytest.mark.parametrize("model, initial", REFERENCE_CASES, ids=["1d-no-jumps", "2d-m2-jumps"])
+
+
+@pytest.mark.parametrize(
+    "model, initial, steps, burn, stride",
+    [
+        *[(*case, _BLOCK + 500, 100, 7) for case in REFERENCE_CASES],
+        (*REFERENCE_CASES[0], 9 * _CHUNK + 3, 0, _CHUNK + 13),
+        (*REFERENCE_CASES[0], 7 * _CHUNK + 5, 2 * _CHUNK + 3, 1),
+    ],
+    ids=["1d-no-jumps", "2d-m2-jumps", "1d-stride-past-chunk", "1d-ragged-steps-and-burn-in"],
 )
-
-
-@REFERENCE_MODELS
-def test_simulate_matches_per_step_reference_bitwise(model, initial):
-    # crosses one draw-block boundary, so per-block scaling is exercised twice
-    horizon = (_BLOCK + 500) * 0.01
-    cfg = base_config(n_values=(30,), horizon=horizon, burn_in=1.0, stride=7, initial=initial, replicas=3)
+def test_simulate_matches_per_step_reference_bitwise(model, initial, steps, burn, stride):
+    # the first two cross one draw-block boundary, so per-block scaling is exercised twice;
+    # the last two put the stride, the step count and the burn-in off the chunk grid
+    cfg = base_config(
+        n_values=(30,), horizon=steps * 0.01, burn_in=burn * 0.01, stride=stride, initial=initial, replicas=3
+    )
+    assert (cfg.num_steps, cfg.burn_steps) == (steps, burn)
     np.testing.assert_array_equal(simulate(model, cfg)[0], reference_euler(model, cfg, 30))
 
 
