@@ -631,19 +631,26 @@ def quasipotential_1d(
 
 
 @functools.lru_cache(maxsize=16)
-def _flow_quadrature(matrix: bytes, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature of time integrals along the flow ``e^{B s}`` of a Hurwitz ``B``.
+def _flow_quadrature(
+    dim: int, matrix: bytes, cov: bytes, vectors: bytes, rates: bytes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The convex dual's tables of one model, from a quadrature along the flow ``e^{B s}``.
 
-    ``B`` is the ``(dim, dim)`` float matrix with the bytes ``matrix`` (the
-    key of the cache: one quadrature serves every solve on a model).
-    Returns read-only ``weights`` (K,) and ``flows`` (K, d, d), ``e^{B s_k}``,
-    at the nodes ``s_k`` of composite Gauss-Legendre panels on
+    The arguments are the bytes of the model's float arrays: the Hurwitz
+    ``(dim, dim)`` drift matrix ``B``, the noise covariance ``c``, the
+    ``(J, dim)`` constant jump vectors ``f_j`` and the ``(J,)`` rates
+    ``nu_j``.  They are the key of the cache, so the tables are built once
+    per model and shared by all of its solves.  The quadrature has nodes
+    ``s_k`` and weights ``w_k`` of composite Gauss-Legendre panels on
     ``[0, ln(1e17) / min |Re lambda(B)|]``.  The mode of eigenvalue
     ``lambda`` lives until it has decayed by ``1e17``; while it lives the
     panels are at most ``1 / |lambda|`` wide, which resolves fast and
     oscillating modes as well as slow ones.  There are at least 60 panels.
 
-    Raises ``ValueError`` unless ``B`` is Hurwitz.
+    Returns read-only arrays: the Gramian ``S = sum_k w_k e^{B s_k} c
+    e^{B^T s_k}`` (d, d), and the jump channels of all nodes, their rates
+    ``w_k nu_j`` (K J,) and vectors ``e^{B s_k} f_j`` (K J, d).  Raises
+    ``ValueError`` unless ``B`` is Hurwitz.
     """
     b = np.frombuffer(matrix).reshape(dim, dim)
     eig = np.linalg.eigvals(b)
@@ -663,9 +670,20 @@ def _flow_quadrature(matrix: bytes, dim: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = (edges[:-1, None] + half * (unit + 1.0)).ravel()
     weights = (half * unit_weights).ravel()
     flows = _expm(nodes[:, None, None] * b)
-    for arr in (weights, flows):
+    c = np.frombuffer(cov).reshape(dim, dim)
+    gram = np.einsum("k,kde,ef,kgf->dg", weights, flows, c, flows)
+    gram = 0.5 * (gram + gram.T)
+    pushed = np.einsum("kde,je->kjd", flows, np.frombuffer(vectors).reshape(-1, dim)).reshape(-1, dim)
+    nu = np.outer(weights, np.frombuffer(rates)).ravel()
+    for arr in (gram, nu, pushed):
         arr.flags.writeable = False
-    return weights, flows
+    return gram, nu, pushed
+
+
+def _dual_tables(model: LocalModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_flow_quadrature` of a model with linear drift and constant jump vectors."""
+    arrays = (model.drift.matrix, model.noise_cov, model.jump_values(np.zeros(model.dim)), model.jump_rates)
+    return _flow_quadrature(model.dim, *(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays))
 
 
 def quasipotential_dual(model: LocalModel, attractor: Sequence[float], target: Sequence[float]) -> ActionValue:
@@ -673,14 +691,16 @@ def quasipotential_dual(model: LocalModel, attractor: Sequence[float], target: S
 
     ``V(a, x) = sup_theta [theta . r - Phi(theta)]`` with ``r = x - a`` and
     ``Phi(theta) = int_0^inf K(e^{B^T s} theta) ds`` (module docstring), the
-    integral taken by a fixed quadrature of ``B`` built once per matrix.  On
-    the quadrature's nodes ``s_k`` with weights ``w_k``, ``Phi`` is the
+    integral taken by a fixed quadrature along the flow.  On the
+    quadrature's nodes ``s_k`` with weights ``w_k``, ``Phi`` is the
     Gaussian part ``theta^T S theta / 2``, ``S = sum_k w_k e^{B s_k} c
     e^{B^T s_k}`` (the Gramian), plus one jump channel per node and jump
-    ``j``, of rate ``w_k nu_j`` and vector ``e^{B s_k} f_j``.  That is the
-    local dual with covariance ``S``, maximized by the same Newton solve as
-    the Lagrangian; without jumps ``V = r^T S^{-1} r / 2``.  Values
-    reaching ``COST_CAP`` are reported as infinite.
+    ``j``, of rate ``w_k nu_j`` and vector ``e^{B s_k} f_j``.  Those tables
+    depend on the model alone: :func:`_flow_quadrature` builds them once per
+    model, and every target reuses them.  The cost is the local dual with
+    covariance ``S``, maximized by the same Newton solve as the Lagrangian;
+    without jumps ``V = r^T S^{-1} r / 2``.  Values reaching ``COST_CAP``
+    are reported as infinite.
 
     Requires a :class:`~quasipot.models.LinearDrift` whose matrix is Hurwitz
     (else ``ValueError``), jump vectors that do not depend on the state, and
@@ -688,18 +708,11 @@ def quasipotential_dual(model: LocalModel, attractor: Sequence[float], target: S
     """
     if not isinstance(model.drift, LinearDrift) or model.jump_matrices.any():
         raise ValueError("the convex dual needs a LinearDrift and constant jump vectors")
-    b = np.ascontiguousarray(model.drift.matrix, dtype=float)
-    weights, flows = _flow_quadrature(b.tobytes(), model.dim)
+    gram, rates, pushed = _dual_tables(model)
     a, x = _escape_endpoints(model, attractor, target)
     r = x - a
-    gram = np.einsum("k,kde,ef,kgf->dg", weights, flows, model.noise_cov, flows)
-    gram = 0.5 * (gram + gram.T)
-    pushed = np.einsum("kde,je->kjd", flows, model.jump_values(r))  # e^{B s_k} f_j
-    rates = np.outer(weights, model.jump_rates)
     with np.errstate(over="ignore", invalid="ignore"):
-        val, _, iterations, converged = _dual_batch(
-            r[None], gram, rates.ravel(), pushed.reshape(1, -1, model.dim)
-        )
+        val, _, iterations, converged = _dual_batch(r[None], gram, rates, pushed[None])
     if val[0] >= COST_CAP:
         return ActionValue(math.inf, iterations, True)
     return ActionValue(float(val[0]), iterations, bool(converged[0]))

@@ -1,9 +1,10 @@
 """Equilibria of the zero-noise drift: search, classification, labeling.
 
-Equilibria are located by Newton iterations seeded from a regular grid over
-a user-supplied box, deduplicated, classified by the eigenvalues of the
-drift's exact Jacobian, and sorted lexicographically by position so that
-labels are reproducible across runs.
+Equilibria are located by one damped Newton search that steps every seed of
+a regular grid over a user-supplied box as one batch, deduplicated in grid
+order, classified by the eigenvalues of the drift's exact Jacobian, and
+sorted lexicographically by position so that labels are reproducible across
+runs.
 """
 
 from __future__ import annotations
@@ -69,10 +70,9 @@ class SearchBox:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def contains(self, point: np.ndarray) -> bool:
-        return bool(
-            (point >= self.lower - _BOX_SLACK).all() and (point <= self.upper + _BOX_SLACK).all()
-        )
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Whether each point of a ``(..., d)`` array lies in the box, within ``_BOX_SLACK``."""
+        return ((points >= self.lower - _BOX_SLACK) & (points <= self.upper + _BOX_SLACK)).all(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,56 +111,75 @@ def _classify(eigenvalues: np.ndarray) -> str:
     return "unstable"
 
 
-def _newton(drift: Drift, seed: np.ndarray, root_tol: float) -> np.ndarray | None:
-    """Damped Newton for one seed; None when it fails to reach ``root_tol``.
+def _newton(drift: Drift, seeds: np.ndarray, root_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton from every seed at once: the final states ``(S, d)``, and which reached ``root_tol``.
 
-    Steps continue past ``root_tol``, within 60 iterations, until the
-    residual is 0 or no full or damped step lowers it strictly: an accepted
-    root sits at the rounding floor of the drift, not just inside the tolerance.
+    Every live seed steps in one ``(S, d)`` batch with one stacked solve, and
+    its line search halves ``t`` from 1 to ``2**-13`` per row.  A seed
+    keeps stepping past ``root_tol``, within 60 iterations, until its
+    residual is 0, no full or damped step lowers it strictly, or its
+    Jacobian is singular: an accepted root sits at the rounding floor of
+    the drift, not just inside the tolerance.  Each row takes the steps a
+    one-seed search would take; only a drift whose batched evaluation
+    rounds differently from a one-row one (a matrix product) can move
+    the last bits.
     """
-    x = seed.astype(float).copy()
-    fx = drift(x[None, :])[0]
-    res = np.abs(fx).max()
+    x = np.array(seeds, dtype=float)
+    fx = drift(x)
+    res = np.abs(fx).max(axis=1)
+    live = np.ones(x.shape[0], dtype=bool)
     for _ in range(60):
-        if res == 0.0:
+        live &= res != 0.0
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
             break
+        jac = drift.jacobian(x[rows])
+        solved = np.ones(rows.size, dtype=bool)
         try:
-            step = np.linalg.solve(drift.jacobian(x[None, :])[0], fx)
+            step = np.linalg.solve(jac, fx[rows][..., None])[..., 0]
         except np.linalg.LinAlgError:
-            break
+            step = np.zeros((rows.size, x.shape[1]))
+            for i, r in enumerate(rows):
+                try:
+                    step[i] = np.linalg.solve(jac[i], fx[r])
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+        live[rows[~solved]] = False
+        rows, step = rows[solved], step[solved]
         for t in 0.5 ** np.arange(14):  # damped down to 2^-13, the last halving above 1e-4
-            x_new = x - t * step
-            f_new = drift(x_new[None, :])[0]
-            if np.abs(f_new).max() < res:
-                x, fx, res = x_new, f_new, np.abs(f_new).max()
+            x_new = x[rows] - t * step
+            f_new = drift(x_new)
+            r_new = np.abs(f_new).max(axis=1)
+            better = r_new < res[rows]
+            took = rows[better]
+            x[took], fx[took], res[took] = x_new[better], f_new[better], r_new[better]
+            rows, step = rows[~better], step[~better]
+            if rows.size == 0:
                 break
-        else:
-            break
-    return x if res <= root_tol else None
+        live[rows] = False
+    return x, res <= root_tol
 
 
 def find_equilibria(drift: Drift, box: SearchBox, root_tol: float = ROOT_TOL) -> list[Equilibrium]:
     """All drift zeros inside the box found from grid-seeded Newton runs.
 
-    Roots closer than ``10 * root_tol`` are treated as duplicates (first
-    find wins), roots that leave the box are discarded, and the survivors
-    are sorted lexicographically by coordinates so the output order does
-    not depend on the seed that found them.  An equilibrium with an
-    eigenvalue real part within ``CLASSIFICATION_MARGIN`` of zero is
-    classified "marginal".
+    One batched :func:`_newton` search runs from every seed of the grid.
+    Roots closer than ``10 * root_tol`` are treated as duplicates (the
+    first seed in grid order wins), roots that leave the box are discarded,
+    and the survivors are sorted lexicographically by coordinates so the
+    output order does not depend on the seed that found them.  An
+    equilibrium with an eigenvalue real part within
+    ``CLASSIFICATION_MARGIN`` of zero is classified "marginal".
     """
     if not (root_tol > 0):
         raise ValueError("root tolerance must be positive")
+    found, ok = _newton(drift, box.seeds(), root_tol)
+    found = found[ok & box.contains(found)]
     roots: list[np.ndarray] = []
-    dedup = 10.0 * root_tol
-    for seed in box.seeds():
-        x = _newton(drift, seed, root_tol)
-        if x is None or not box.contains(x):
-            continue
-        if any(np.abs(x - r).max() <= dedup for r in roots):
-            continue
-        roots.append(x)
-    roots.sort(key=lambda r: tuple(r))
+    while found.shape[0]:  # keep the first seed's root, drop its duplicates
+        roots.append(found[0])
+        found = found[np.abs(found - found[0]).max(axis=1) > 10.0 * root_tol]
+    roots.sort(key=tuple)
     out = []
     for x in roots:
         jac = drift.jacobian(x[None, :])[0]

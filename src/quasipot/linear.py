@@ -37,11 +37,13 @@ MAX_EXPONENT = 700.0
 class LinearModel:
     """Linearized dynamics at an attractor: stable ``Db`` and covariance ``c``.
 
-    ``Db`` must be Hurwitz (all eigenvalue real parts strictly negative) and
-    ``c`` symmetric positive definite; both are validated on construction,
-    and a singular ``c`` raises :class:`DegenerateCovariance`.
-    The Lyapunov Gramian is solved on first use and kept, read-only; so is
-    each table of :meth:`flow`.
+    ``Db`` must be Hurwitz (all eigenvalue real parts strictly negative),
+    ``c`` symmetric positive semidefinite, and the Lyapunov Gramian positive
+    definite; all three are validated on construction, and a failed
+    semidefinite or definite test raises :class:`DegenerateCovariance`.  A
+    singular ``c`` passes when the drift carries the noise into every
+    direction (``(Db, c)`` controllable).  The Gramian is kept, read-only;
+    so is each table of :meth:`flow`.
     """
 
     drift_matrix: np.ndarray
@@ -61,12 +63,6 @@ class LinearModel:
         if not np.allclose(c, c.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(c).max())):
             raise ValueError("covariance must be symmetric")
         c = 0.5 * (c + c.T)
-        try:
-            np.linalg.cholesky(c)
-        except np.linalg.LinAlgError:
-            raise DegenerateCovariance(
-                "the covariance is degenerate; the closed forms need it positive definite"
-            ) from None
         alpha = np.linalg.eigvals(db).real.max()
         if not alpha < 0:
             raise ValueError(
@@ -78,6 +74,15 @@ class LinearModel:
         c.flags.writeable = False
         object.__setattr__(self, "drift_matrix", db)
         object.__setattr__(self, "covariance", c)
+        if np.linalg.eigvalsh(c).min() < -1e-12 * max(1.0, np.abs(c).max()):
+            raise DegenerateCovariance("the covariance has a negative eigenvalue")
+        try:
+            np.linalg.cholesky(self.gramian)
+        except np.linalg.LinAlgError:
+            raise DegenerateCovariance(
+                "the Lyapunov Gramian is degenerate: the drift does not carry the noise into "
+                "every direction, and the closed forms need it positive definite"
+            ) from None
 
     @property
     def dim(self) -> int:

@@ -44,6 +44,7 @@ from .attractors import (
     ROOT_TOL,
     Equilibrium,
     SearchBox,
+    _classify,
     find_equilibria,
     stable_attractors,
 )
@@ -594,6 +595,40 @@ def _escape_costs(
     return costs, unconverged
 
 
+def _check_confining(spec: ProblemSpec) -> None:
+    """Raise :class:`SpecError` for a 1-D polynomial drift outside the stationary theory.
+
+    The stationary rates need an invariant probability measure, and every
+    attractor that carries it.  A polynomial drift confines the process only
+    with odd degree and a negative leading coefficient, and every real root
+    that :func:`find_equilibria` would classify stable (``b' < 0`` beyond the
+    classification margin) must lie in the search box.  The drift alone is
+    checked, whatever the jumps.
+    """
+    if not isinstance(spec.drift, PolynomialDrift):
+        return
+    coeffs = np.polynomial.polynomial.polytrim(spec.drift.coefficients)
+    degree, lead = coeffs.size - 1, coeffs[-1]
+    if degree % 2 == 0 or lead >= 0:
+        raise SpecError(
+            f"the drift has degree {degree} and leading coefficient {lead:g}; it has no "
+            "invariant measure unless its degree is odd and its leading coefficient negative"
+        )
+    roots = np.polynomial.polynomial.polyroots(coeffs)
+    real = roots.real[roots.imag == 0][:, None]
+    stable = np.array(
+        [_classify(np.linalg.eigvals(jac)) == "stable" for jac in spec.drift.jacobian(real)],
+        dtype=bool,
+    )
+    outside = real[stable & ~spec.box.contains(real), 0]
+    if outside.size:
+        raise SpecError(
+            f"the drift has a stable equilibrium at {outside[0]:.6g}, outside the search box "
+            f"[{spec.box.lower[0]:g}, {spec.box.upper[0]:g}]; the stationary rates need every "
+            "attractor inside it"
+        )
+
+
 def _solve_rates(
     spec: ProblemSpec, extra_points: np.ndarray
 ) -> tuple[RateReport, LocalModel, np.ndarray]:
@@ -601,8 +636,10 @@ def _solve_rates(
 
     All escape costs, between attractors and from every attractor to the
     evaluation points and then to ``extra_points``, are one batch of solves
-    that shares the failure quota.
+    that shares the failure quota.  A 1-D polynomial drift must pass
+    :func:`_check_confining` first.
     """
+    _check_confining(spec)
     model = spec.build_model()
     equilibria, stable = _find_attractors(spec, model)
     n_att = len(stable)

@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 
 from quasipot.action import (
     ActionValue,
+    _dual_tables,
     _flow_quadrature,
     local_lagrangian,
     minimize_action,
@@ -527,7 +528,7 @@ def test_dual_in_one_dimension_matches_the_quadrature(x):
 
 @pytest.fixture
 def fresh_quadratures():
-    # the quadrature cache is keyed on B alone, not on the panel constants
+    # the table cache is keyed on the model, not on the panel constants
     yield
     _flow_quadrature.cache_clear()
 
@@ -547,13 +548,32 @@ JUMPS = NONNORMAL_CONSTANT_JUMPS.jumps
 def test_dual_is_stable_under_panel_doubling(model, monkeypatch, fresh_quadratures):
     import quasipot.action as action
 
-    values = []
+    values, channels = [], []
     for refine in (1, 2):
         monkeypatch.setattr(action, "_FLOW_PANELS", 60 * refine)
         monkeypatch.setattr(action, "_FLOW_PANELS_PER_RATE", 1.0 * refine)
         _flow_quadrature.cache_clear()
         values.append(quasipotential_dual(model, [0.0, 0.0], NONNORMAL_TARGET).value)
+        # one (node, jump) channel per entry: the solve above used these tables
+        channels.append(_dual_tables(model)[1].size)
+        assert _flow_quadrature.cache_info().misses == 1
+    assert channels[1] > channels[0]
     assert abs(values[1] - values[0]) <= 1e-11
+
+
+def test_dual_tables_are_keyed_on_the_whole_model(fresh_quadratures):
+    # the same B with another noise or other jumps must not reuse the tables
+    _flow_quadrature.cache_clear()
+    drift, sigma = NONNORMAL_CONSTANT_JUMPS.drift, NONNORMAL_CONSTANT_JUMPS.diffusion
+    for model in (
+        NONNORMAL_CONSTANT_JUMPS,
+        LocalModel(2, drift, 2.0 * sigma, JUMPS),
+        LocalModel(2, drift, sigma, JUMPS[:1]),
+        LocalModel(2, drift, sigma, (JumpAtom(2.0, JUMPS[0].vector), JUMPS[1])),
+    ):
+        quasipotential_dual(model, [0.0, 0.0], NONNORMAL_TARGET)
+        quasipotential_dual(model, [0.0, 0.0], [0.5, 0.1])
+    assert _flow_quadrature.cache_info()[:2] == (4, 4)  # hits, misses
 
 
 def test_dual_refusals():

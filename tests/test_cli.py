@@ -319,6 +319,50 @@ def test_degenerate_noise_is_exit_2(tmp_path, capsys, jumps):
         assert err.count("\n") == 1
 
 
+def test_linear_and_rates_agree_on_controllable_singular_noise(tmp_path):
+    # The noise drives only the second axis, and the drift carries it into the
+    # first: c is singular, the Gramian is not, and both routes answer.
+    payload = json.loads((SPECS / "nonnormal2d.json").read_text())
+    payload["diffusion"] = [[0.0], [1.0]]
+    payload["linear"]["displacements"] = [[0.5, 0.5]]
+    spec = write_spec(tmp_path, payload)
+    rates = {}
+    for command in ("rates", "linear"):
+        assert cli.main([command, "--spec", spec, "--out", str(tmp_path / command)]) == 0
+        rates[command] = json.loads((tmp_path / command / "report.json").read_text())
+    got = rates["linear"]["displacements"][0]["rate"]
+    assert got == pytest.approx(rates["rates"]["evaluation"][0]["rate"], rel=1e-12, abs=0)
+    assert got == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # b = -x + x^3 leaves every compact set: no invariant measure
+        ({"drift": {"kind": "polynomial", "coefficients": [0.0, -1.0, 0.0, 1.0]}}, "degree 3 and leading coefficient 1;"),
+        ({"drift": {"kind": "polynomial", "coefficients": [1.0, 0.0, -1.0]}}, "degree 2 and leading coefficient -1;"),
+        ({"drift": {"kind": "polynomial", "coefficients": [-1.0, 0.0]}}, "degree 0 and leading coefficient -1;"),
+        # the well at -1 carries half the measure but lies outside the box
+        ({"box": {"lower": [0.2], "upper": [2.0], "resolution": 13}}, "stable equilibrium at -1, outside the search box [0.2, 2];"),
+    ],
+    ids=["no-invariant-measure", "even-degree", "constant", "attractor-outside-box"],
+)
+@pytest.mark.parametrize("command, base", [("rates", "double_well"), ("validate", "double_well_mc")])
+def test_drift_outside_the_stationary_theory_is_exit_2(tmp_path, capsys, monkeypatch, edit, message, command, base):
+    import quasipot.pipeline as pipeline
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("escape cost solved before the drift was checked")
+
+    monkeypatch.setattr(pipeline, "quasipotential", no_solve)
+    payload = json.loads((SPECS / f"{base}.json").read_text())
+    spec = write_spec(tmp_path, {**payload, **edit})
+    assert cli.main([command, "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: the drift has ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_out_naming_a_file_is_exit_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -31,7 +31,7 @@ from quasipot.linear import (
     lyapunov_gramian,
     quadratic_rate,
 )
-from quasipot.models import LinearDrift, LocalModel
+from quasipot.models import DegenerateCovariance, LinearDrift, LocalModel
 
 
 def random_stable_model(rng, dim):
@@ -52,6 +52,20 @@ def test_model_validation():
     model = LinearModel(-2.0 * np.eye(3), np.eye(3))
     assert model.dim == 3
     assert model.decay_rate == pytest.approx(2.0)
+
+
+def test_covariance_must_be_semidefinite_and_gramian_definite():
+    db = np.array([[-1.0, 1.0], [0.0, -1.0]])
+    # A negative noise variance on the first axis; the Gramian would still be
+    # positive definite (G11 = 1/4 - 0.005), so c itself must be refused.
+    with pytest.raises(DegenerateCovariance, match="negative eigenvalue"):
+        LinearModel(db, np.diag([-0.01, 1.0]))
+    # Noise on the second axis only: the coupling carries it into the first.
+    model = LinearModel(db, np.diag([0.0, 1.0]))
+    assert np.linalg.eigvalsh(lyapunov_gramian(model)).min() > 0
+    # Noise on the first axis only: nothing carries it into the second.
+    with pytest.raises(DegenerateCovariance, match="Gramian is degenerate"):
+        LinearModel(db, np.diag([1.0, 0.0]))
 
 
 def test_dimension_cap():

@@ -433,6 +433,29 @@ def test_minimum_action_route_matches_the_rotated_affine_jump_oracle():
         assert abs(rate - oracle.cost(x)) <= 1e-5
 
 
+def test_a_convex_dual_rates_run_builds_its_tables_once():
+    # the jump-2d benchmark's model and points: the rotated oracle with constant jumps
+    from quasipot import action
+
+    oracle = RotatedAffineJumps(mu=(0.0, 0.0))
+    angle = oracle.theta + math.pi / 4 + math.pi / 2 * np.arange(4)
+    radius = np.array([0.4, 0.6, 0.8, 1.0])
+    spec = parse_problem_spec(
+        {
+            **oracle.spec_fields(),
+            "box": {"lower": [-1.2, -1.2], "upper": [1.2, 1.2], "resolution": 5},
+            "evaluation_points": np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]).tolist(),
+        }
+    )
+    action._flow_quadrature.cache_clear()
+    report = run_rates(spec)
+    assert report.provenance["escape_cost_method"] == "convex_dual"
+    assert report.total_runs == 4
+    info = action._flow_quadrature.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+    assert not any(table.flags.writeable for table in action._dual_tables(spec.build_model()))
+
+
 SHIPPED_METHODS = {
     "affine_jumps2d": "minimum_action",
     "asym_double_well": "hamiltonian_quadrature",
