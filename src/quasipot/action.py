@@ -29,9 +29,11 @@ Wentzell 2012 for the Gaussian case; Rockafellar, *Convex Analysis*, 1970):
 ``Phi(theta) = int_0^inf K(e^{B^T s} theta) ds``,
 
 with ``K`` the cumulant ``theta^T c theta / 2 + sum_j nu_j (e^{theta . f_j}
-- 1 - theta . f_j)``.  :func:`quasipotential_dual` evaluates ``Phi`` by a
-fixed quadrature and maximizes by Newton's method, again without paths or
-horizons.
+- 1 - theta . f_j)``.  The Gaussian part of ``Phi`` is ``theta^T G theta
+/ 2``, with ``G`` the Lyapunov Gramian of :mod:`quasipot.linear`, solved
+exactly; only its jump part is a fixed quadrature.
+:func:`quasipotential_dual` maximizes by Newton's method, again without
+paths or horizons.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linear import _expm
+from .linear import _expm, solve_lyapunov
 from .models import DegenerateCovariance, LinearDrift, LocalModel, Path
 
 #: Action values at or above this are reported as unreachable (infinite).
@@ -634,28 +636,32 @@ def quasipotential_1d(
 def _flow_quadrature(
     dim: int, matrix: bytes, cov: bytes, vectors: bytes, rates: bytes
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The convex dual's tables of one model, from a quadrature along the flow ``e^{B s}``.
+    """The convex dual's tables of one model: its Gramian, and jump channels along ``e^{B s}``.
 
     The arguments are the bytes of the model's float arrays: the Hurwitz
     ``(dim, dim)`` drift matrix ``B``, the noise covariance ``c``, the
     ``(J, dim)`` constant jump vectors ``f_j`` and the ``(J,)`` rates
     ``nu_j``.  They are the key of the cache, so the tables are built once
-    per model and shared by all of its solves.  The quadrature has nodes
-    ``s_k`` and weights ``w_k`` of composite Gauss-Legendre panels on
-    ``[0, ln(1e17) / min |Re lambda(B)|]``.  The mode of eigenvalue
-    ``lambda`` lives until it has decayed by ``1e17``; while it lives the
-    panels are at most ``1 / |lambda|`` wide, which resolves fast and
-    oscillating modes as well as slow ones.  There are at least 60 panels.
+    per model and shared by all of its solves.  The Gramian ``S`` is
+    :func:`~quasipot.linear.solve_lyapunov` of ``(B, c)``, which raises
+    ``ValueError`` unless ``B`` is Hurwitz.  The jump channels come from a
+    quadrature with nodes ``s_k`` and weights ``w_k`` of composite
+    Gauss-Legendre panels on ``[0, ln(1e17) / min |Re lambda(B)|]``.  The
+    mode of eigenvalue ``lambda`` lives until it has decayed by ``1e17``;
+    while it lives the panels are at most ``1 / |lambda|`` wide, which
+    resolves fast and oscillating modes as well as slow ones.  There are at
+    least 60 panels; without jumps there is no quadrature.
 
-    Returns read-only arrays: the Gramian ``S = sum_k w_k e^{B s_k} c
-    e^{B^T s_k}`` (d, d), and the jump channels of all nodes, their rates
-    ``w_k nu_j`` (K J,) and vectors ``e^{B s_k} f_j`` (K J, d).  Raises
-    ``ValueError`` unless ``B`` is Hurwitz.
+    Returns read-only arrays: ``S`` (d, d), and the jump channels of all
+    nodes, their rates ``w_k nu_j`` (K J,) and vectors ``e^{B s_k} f_j``
+    (K J, d).
     """
     b = np.frombuffer(matrix).reshape(dim, dim)
+    gram = solve_lyapunov(b, np.frombuffer(cov).reshape(dim, dim))
+    nu, f = np.frombuffer(rates), np.frombuffer(vectors).reshape(-1, dim)
+    if not len(nu):
+        return gram, nu, f
     eig = np.linalg.eigvals(b)
-    if not (eig.real < 0).all():
-        raise ValueError(f"drift matrix must be Hurwitz; largest eigenvalue real part is {eig.real.max():.3g}")
     lifetimes = math.log(_FLOW_DECAY) / -eig.real
     horizon = lifetimes.max()
     cuts = np.unique(np.append(0.0, lifetimes))
@@ -669,13 +675,9 @@ def _flow_quadrature(
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (edges[:-1, None] + half * (unit + 1.0)).ravel()
     weights = (half * unit_weights).ravel()
-    flows = _expm(nodes[:, None, None] * b)
-    c = np.frombuffer(cov).reshape(dim, dim)
-    gram = np.einsum("k,kde,ef,kgf->dg", weights, flows, c, flows)
-    gram = 0.5 * (gram + gram.T)
-    pushed = np.einsum("kde,je->kjd", flows, np.frombuffer(vectors).reshape(-1, dim)).reshape(-1, dim)
-    nu = np.outer(weights, np.frombuffer(rates)).ravel()
-    for arr in (gram, nu, pushed):
+    pushed = np.einsum("kde,je->kjd", _expm(nodes[:, None, None] * b), f).reshape(-1, dim)
+    nu = np.outer(weights, nu).ravel()
+    for arr in (nu, pushed):
         arr.flags.writeable = False
     return gram, nu, pushed
 
@@ -690,21 +692,25 @@ def quasipotential_dual(model: LocalModel, attractor: Sequence[float], target: S
     """Exact escape cost of a linear drift with constant jumps, by convex duality.
 
     ``V(a, x) = sup_theta [theta . r - Phi(theta)]`` with ``r = x - a`` and
-    ``Phi(theta) = int_0^inf K(e^{B^T s} theta) ds`` (module docstring), the
-    integral taken by a fixed quadrature along the flow.  On the
-    quadrature's nodes ``s_k`` with weights ``w_k``, ``Phi`` is the
-    Gaussian part ``theta^T S theta / 2``, ``S = sum_k w_k e^{B s_k} c
-    e^{B^T s_k}`` (the Gramian), plus one jump channel per node and jump
-    ``j``, of rate ``w_k nu_j`` and vector ``e^{B s_k} f_j``.  Those tables
-    depend on the model alone: :func:`_flow_quadrature` builds them once per
-    model, and every target reuses them.  The cost is the local dual with
-    covariance ``S``, maximized by the same Newton solve as the Lagrangian;
-    without jumps ``V = r^T S^{-1} r / 2``.  Values reaching ``COST_CAP``
-    are reported as infinite.
+    ``Phi(theta) = int_0^inf K(e^{B^T s} theta) ds`` (module docstring).
+    ``Phi`` is the Gaussian part ``theta^T S theta / 2``, with ``S`` the
+    Lyapunov Gramian of ``(B, c)`` from
+    :func:`~quasipot.linear.solve_lyapunov`, plus the jump part, integrated
+    by a fixed quadrature along the flow: on its nodes ``s_k`` with weights
+    ``w_k``, one jump channel per node and jump ``j``, of rate ``w_k nu_j``
+    and vector ``e^{B s_k} f_j``.  Those tables depend on the model alone:
+    :func:`_flow_quadrature` builds them once per model, and every target
+    reuses them.  The cost is the local dual with covariance ``S``,
+    maximized by the same Newton solve as the Lagrangian; without jumps
+    ``V = r^T S^{-1} r / 2``.  ``S`` need not be definite when the jumps
+    span the space (``c = 0`` included).  Values reaching ``COST_CAP`` are
+    reported as infinite.
 
     Requires a :class:`~quasipot.models.LinearDrift` whose matrix is Hurwitz
     (else ``ValueError``), jump vectors that do not depend on the state, and
-    an equilibrium start within ``EQUILIBRIUM_TOL``.
+    an equilibrium start within ``EQUILIBRIUM_TOL``.  The Gramian's dense
+    solve limits the dimension to ``MAX_LYAPUNOV_DIM`` (20; ``ValueError``
+    above it).
     """
     if not isinstance(model.drift, LinearDrift) or model.jump_matrices.any():
         raise ValueError("the convex dual needs a LinearDrift and constant jump vectors")

@@ -40,10 +40,12 @@ class LinearModel:
     ``Db`` must be Hurwitz (all eigenvalue real parts strictly negative),
     ``c`` symmetric positive semidefinite, and the Lyapunov Gramian positive
     definite; all three are validated on construction, and a failed
-    semidefinite or definite test raises :class:`DegenerateCovariance`.  A
-    singular ``c`` passes when the drift carries the noise into every
-    direction (``(Db, c)`` controllable).  The Gramian is kept, read-only;
-    so is each table of :meth:`flow`.
+    semidefinite or definite test raises :class:`DegenerateCovariance`.  The
+    first two tests belong to :func:`solve_lyapunov`, which the convex dual
+    shares; the definite test is the closed forms' own.  A singular ``c``
+    passes when the drift carries the noise into every direction (``(Db,
+    c)`` controllable).  The Gramian is kept, read-only; so is each table of
+    :meth:`flow`.
     """
 
     drift_matrix: np.ndarray
@@ -63,19 +65,12 @@ class LinearModel:
         if not np.allclose(c, c.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(c).max())):
             raise ValueError("covariance must be symmetric")
         c = 0.5 * (c + c.T)
-        alpha = np.linalg.eigvals(db).real.max()
-        if not alpha < 0:
-            raise ValueError(
-                f"drift matrix must be Hurwitz; largest eigenvalue real part is {alpha:.3g}"
-            )
         db = db.copy()
         db.flags.writeable = False
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "drift_matrix", db)
         object.__setattr__(self, "covariance", c)
-        if np.linalg.eigvalsh(c).min() < -1e-12 * max(1.0, np.abs(c).max()):
-            raise DegenerateCovariance("the covariance has a negative eigenvalue")
         try:
             np.linalg.cholesky(self.gramian)
         except np.linalg.LinAlgError:
@@ -95,26 +90,8 @@ class LinearModel:
 
     @cached_property
     def gramian(self) -> np.ndarray:
-        """The Gramian of :func:`lyapunov_gramian`, solved once per model."""
-        d = self.dim
-        if d > MAX_LYAPUNOV_DIM:
-            raise ValueError(
-                f"dense Lyapunov solve limited to dimension {MAX_LYAPUNOV_DIM}, got {d}"
-            )
-        db = self.drift_matrix
-        c = self.covariance
-        eye = np.eye(d)
-        lift = np.kron(db, eye) + np.kron(eye, db)
-        g = np.linalg.solve(lift, -c.reshape(-1)).reshape(d, d)
-        g = 0.5 * (g + g.T)
-        residual = np.linalg.norm(db @ g + g @ db.T + c, "fro")
-        scale = np.linalg.norm(c, "fro")
-        if residual > LYAPUNOV_RESIDUAL_TOL * scale:
-            raise ArithmeticError(
-                f"Lyapunov residual {residual:.3g} exceeds {LYAPUNOV_RESIDUAL_TOL:.0e} * |c|_F"
-            )
-        g.flags.writeable = False
-        return g
+        """The Gramian of :func:`solve_lyapunov`, solved once per model."""
+        return solve_lyapunov(self.drift_matrix, self.covariance)
 
     def flow(self, s, *, transpose: bool = False) -> np.ndarray:
         """``e^{Db s}``, or ``e^{Db^T s}``: ``(d, d)`` at one time, ``(K, d, d)`` at ``K``.
@@ -147,15 +124,42 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(a)
 
 
-def lyapunov_gramian(model: LinearModel) -> np.ndarray:
-    """Controllability Gramian ``G`` with ``Db G + G Db^T + c = 0``.
+def solve_lyapunov(db: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Controllability Gramian ``G`` with ``Db G + G Db^T + c = 0``, read-only.
 
+    Raises ``ValueError`` unless ``Db`` is Hurwitz, and
+    :class:`DegenerateCovariance` if ``c`` has a negative eigenvalue.
     Solved densely through the Kronecker lift (a ``d^2 x d^2`` linear
     system), which is exact up to roundoff for the moderate dimensions this
-    package targets; larger systems are refused.  The residual is verified
-    against ``LYAPUNOV_RESIDUAL_TOL`` relative to ``|c|_F``.  The solve runs
-    once per model: every call returns the same read-only array.
+    package targets; above ``MAX_LYAPUNOV_DIM`` it raises ``ValueError``.
+    The residual is verified against ``LYAPUNOV_RESIDUAL_TOL`` relative to
+    ``|c|_F`` (else ``ArithmeticError``).  A singular ``c``, even ``0``, is
+    solved: whether ``G`` is definite is for the caller to decide.
     """
+    alpha = np.linalg.eigvals(db).real.max()
+    if not alpha < 0:
+        raise ValueError(f"drift matrix must be Hurwitz; largest eigenvalue real part is {alpha:.3g}")
+    if np.linalg.eigvalsh(c).min() < -1e-12 * max(1.0, np.abs(c).max()):
+        raise DegenerateCovariance("the covariance has a negative eigenvalue")
+    d = db.shape[0]
+    if d > MAX_LYAPUNOV_DIM:
+        raise ValueError(f"dense Lyapunov solve limited to dimension {MAX_LYAPUNOV_DIM}, got {d}")
+    eye = np.eye(d)
+    lift = np.kron(db, eye) + np.kron(eye, db)
+    g = np.linalg.solve(lift, -c.reshape(-1)).reshape(d, d)
+    g = 0.5 * (g + g.T)
+    residual = np.linalg.norm(db @ g + g @ db.T + c, "fro")
+    scale = np.linalg.norm(c, "fro")
+    if residual > LYAPUNOV_RESIDUAL_TOL * scale:
+        raise ArithmeticError(
+            f"Lyapunov residual {residual:.3g} exceeds {LYAPUNOV_RESIDUAL_TOL:.0e} * |c|_F"
+        )
+    g.flags.writeable = False
+    return g
+
+
+def lyapunov_gramian(model: LinearModel) -> np.ndarray:
+    """:func:`solve_lyapunov` of the model, solved once: every call returns the same array."""
     return model.gramian
 
 

@@ -21,8 +21,10 @@ Frozen oracles used here:
 - Linear drift with constant jumps: without jumps the escape cost is the
   Gramian rate r^T G^{-1} r / 2; a rotated product of 1-D OU processes with
   one jump channel per axis separates into a sum of 1-D costs, each a
-  quadrature of the axis Hamiltonian's nonzero root written here; at a fixed
-  horizon the cost is ``conftest.finite_horizon_dual``.
+  quadrature of the axis Hamiltonian's nonzero root written here, and so
+  does a diagonal drift driven by jumps alone; at a fixed horizon the cost
+  is ``conftest.finite_horizon_dual``.  The flow quadrature's channels for
+  unit jumps e_1, e_2 integrate to the Lyapunov Gramian of (B, I).
 """
 
 import math
@@ -48,6 +50,7 @@ from quasipot.action import (
     quasipotential_1d,
     quasipotential_dual,
 )
+from quasipot.linear import MAX_LYAPUNOV_DIM, solve_lyapunov
 from quasipot.models import JumpAtom, LinearDrift, LocalModel, Path, PolynomialDrift
 
 JUMP_DUAL_ORACLE = 0.39353323285015607
@@ -484,6 +487,18 @@ def test_dual_matches_the_gramian_without_jumps(case):
         assert res.value == pytest.approx(0.5 * x @ np.linalg.solve(gram, x), abs=1e-12)
 
 
+@pytest.mark.parametrize("case", sorted(GRAMIAN_CASES))
+def test_flow_quadrature_panels_integrate_the_gramian(case):
+    # unit jumps e_1, e_2 at rate 1 have second moments I: their channels
+    # must integrate e^{Bs} e^{B^T s} to the Lyapunov Gramian of (B, I)
+    b, sigma = GRAMIAN_CASES[case]
+    unit_jumps = (JumpAtom(1.0, [1.0, 0.0]), JumpAtom(1.0, [0.0, 1.0]))
+    _, rates, pushed = _dual_tables(LocalModel(2, LinearDrift(b), sigma, unit_jumps))
+    want = solve_lyapunov(b, np.eye(2))
+    got = np.einsum("k,kd,ke->de", rates, pushed, pushed)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_dual_matches_a_rotated_separable_quadrature_sum():
     angle, k, s, c, nu = 0.6, (1.0, 0.5), (1.0, 0.7), (0.4, -0.3), (0.8, 0.5)
     q = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
@@ -524,6 +539,26 @@ def test_dual_in_one_dimension_matches_the_quadrature(x):
     res = quasipotential_dual(jump_ou_model(), [0.0], [x])
     assert res.converged
     assert res.value == pytest.approx(quasipotential_1d(jump_ou_model(), [0.0], [x]).value, abs=1e-10)
+
+
+def test_dual_without_noise_matches_the_axis_quadratures():
+    # c = 0: the Gramian is 0 and the jumps alone span the plane, a model
+    # LinearModel would refuse as degenerate
+    model = LocalModel(
+        2,
+        LinearDrift(np.diag([-1.0, -2.0])),
+        np.zeros((2, 2)),
+        (JumpAtom(1.0, [0.3, 0.0]), JumpAtom(0.5, [-0.3, 0.0]), JumpAtom(0.8, [0.0, 0.5]), JumpAtom(0.6, [0.0, -0.5])),
+    )
+    axes = [
+        LocalModel(1, LinearDrift([[-1.0]]), [[0.0]], (JumpAtom(1.0, [0.3]), JumpAtom(0.5, [-0.3]))),
+        LocalModel(1, LinearDrift([[-2.0]]), [[0.0]], (JumpAtom(0.8, [0.5]), JumpAtom(0.6, [-0.5]))),
+    ]
+    for x in ([0.4, -0.3], [-0.5, 0.6], [1.0, 0.2], [-0.2, -0.8]):
+        res = quasipotential_dual(model, [0.0, 0.0], x)
+        want = sum(quasipotential_1d(axes[i], [0.0], [x[i]]).value for i in range(2))
+        assert res.converged
+        assert res.value == pytest.approx(want, abs=1e-10)
 
 
 @pytest.fixture
@@ -586,6 +621,10 @@ def test_dual_refusals():
         quasipotential_dual(marginal, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError, match="constant jump vectors"):
         quasipotential_dual(NONNORMAL_JUMPS, [0.0, 0.0], NONNORMAL_TARGET)
+    # the Gramian's dense Lyapunov solve caps the dimension
+    d = MAX_LYAPUNOV_DIM + 1
+    with pytest.raises(ValueError, match="limited to dimension 20"):
+        quasipotential_dual(LocalModel(d, LinearDrift(-np.eye(d)), np.eye(d)), np.zeros(d), np.full(d, 0.1))
 
 
 def test_dual_far_target_is_infinite_without_warnings():

@@ -1,6 +1,7 @@
 """End-to-end command line runs against temporary spec files."""
 
 import json
+import math
 import threading
 from pathlib import Path
 
@@ -330,9 +331,10 @@ def test_linear_and_rates_agree_on_controllable_singular_noise(tmp_path):
     for command in ("rates", "linear"):
         assert cli.main([command, "--spec", spec, "--out", str(tmp_path / command)]) == 0
         rates[command] = json.loads((tmp_path / command / "report.json").read_text())
+    # both routes take the Gramian from the same Lyapunov solve
     got = rates["linear"]["displacements"][0]["rate"]
-    assert got == pytest.approx(rates["rates"]["evaluation"][0]["rate"], rel=1e-12, abs=0)
-    assert got == pytest.approx(0.5, rel=1e-12)
+    assert abs(got - rates["rates"]["evaluation"][0]["rate"]) <= 2 * math.ulp(0.5)
+    assert abs(got - 0.5) <= 2 * math.ulp(0.5)
 
 
 @pytest.mark.parametrize(

@@ -58,8 +58,8 @@ def test_import_attractors_and_1d_linear_load_no_scipy(tmp_path):
         assert loaded == [], f"{command} {spec.name} loaded {loaded}"
 
 
-def test_rates_on_a_2d_linear_drift_loads_scipy_linalg_but_not_the_quadrature(tmp_path):
+def test_rates_on_a_2d_linear_drift_without_jumps_loads_no_scipy(tmp_path):
+    # the convex dual's Gramian is the Lyapunov solve: no flow quadrature, no expm
     [_, (code, loaded)] = probe([("rates", REPO / "specs" / "nonnormal2d.json")], tmp_path)
     assert code == 0
-    assert "scipy.linalg" in loaded
-    assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.") for m in loaded)
+    assert loaded == []
