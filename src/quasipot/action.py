@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -543,6 +544,45 @@ class _NoRoot(Exception):
 #: Largest momentum bracketed before a state counts as impassable.
 _MOMENTUM_REACH = 2.0**200
 
+#: Per model object, :func:`_momentum_root` by ``(sign, y)``; an entry dies with its model.
+_MOMENTUM_ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _momentum_root(model: LocalModel, sign: float, y: float) -> tuple[float, int, bool] | None:
+    """``max(0, s p*(y))`` of :func:`quasipotential_1d`, its ``brentq`` iterations and convergence.
+
+    ``None`` where ``H(y, p) / p`` has no root in the direction ``s = sign``
+    up to ``|p| = _MOMENTUM_REACH``.  Where the drift does not oppose the
+    motion the cost is 0 and no root is solved.
+    """
+    from scipy.optimize import brentq
+
+    state = np.array([[y]])
+    b = float(model.drift_at(state)[0, 0])
+    if sign * b >= 0.0:
+        return 0.0, 0, True
+    c, nu = float(model.noise_cov[0, 0]), model.jump_rates
+    f = model.jump_values(state)[0, :, 0] if nu.size else None
+
+    def slope(p: float) -> float:
+        """``H(y, p) / p``."""
+        if p == 0.0:
+            return b
+        # with no channels the cumulant is exactly 0.0: same float, no numpy call
+        jumps = float(_jump_cumulant(nu, p * f)) if nu.size else 0.0
+        return b + 0.5 * c * p + jumps / p
+
+    reach = 1.0
+    while sign * slope(sign * reach) <= 0.0:
+        reach *= 2.0
+        if reach > _MOMENTUM_REACH:
+            return None
+    lo, hi = sorted((0.0, sign * reach))
+    root, info = brentq(
+        slope, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps, full_output=True, disp=False
+    )
+    return sign * root, info.iterations, info.converged
+
 
 def quasipotential_1d(
     model: LocalModel,
@@ -563,6 +603,17 @@ def quasipotential_1d(
     refined by ``brentq``.  Where ``H / p`` never changes sign in the
     direction of motion no path passes, and the cost is infinite.
 
+    The integrand depends on the model and ``s`` alone, not on the target,
+    and ``quad`` places the same nodes on every shared subinterval between
+    breakpoints.  So each root, with its iteration count and convergence,
+    is memoized per model object and ``(s, y)`` for as long as the model
+    lives: every solve on one model reuses it, and a new model (one per CLI
+    command) starts empty.  Each solve folds the memoized counts in as if
+    it had solved the roots, so the result is the same bit for bit.  A
+    model with no jump channels evaluates ``H / p`` in plain floats; with
+    channels the cumulant stays on numpy's ``expm1``, whose last bit
+    differs from :func:`math.expm1` on some arguments.
+
     ``breakpoints`` (the equilibria, where the integrand has kinks) split
     the quadrature.  ``converged`` means that every root solve converged
     and the quadrature raised no warning; ``dual_iterations`` is the largest
@@ -574,40 +625,25 @@ def quasipotential_1d(
         raise ValueError(f"quadrature escape costs need dimension 1, got {model.dim}")
     a, x = _escape_endpoints(model, attractor, target)
     from scipy.integrate import quad
-    from scipy.optimize import brentq
 
     start, end = float(a[0]), float(x[0])
     sign = 1.0 if end >= start else -1.0
-    c, nu = float(model.noise_cov[0, 0]), model.jump_rates
+    roots = _MOMENTUM_ROOTS.setdefault(model, {})
     iterations, roots_converged = 0, True
 
     def excess(y: float) -> float:
         """``max(0, s p*(y))``: the cost per unit length at ``y``."""
         nonlocal iterations, roots_converged
-        state = np.array([[y]])
-        b = float(model.drift_at(state)[0, 0])
-        if sign * b >= 0.0:
-            return 0.0
-        f = model.jump_values(state)[0, :, 0]
-
-        def slope(p: float) -> float:
-            """``H(y, p) / p``."""
-            if p == 0.0:
-                return b
-            return b + 0.5 * c * p + float(_jump_cumulant(nu, p * f)) / p
-
-        reach = 1.0
-        while sign * slope(sign * reach) <= 0.0:
-            reach *= 2.0
-            if reach > _MOMENTUM_REACH:
-                raise _NoRoot
-        lo, hi = sorted((0.0, sign * reach))
-        root, info = brentq(
-            slope, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps, full_output=True, disp=False
-        )
-        iterations = max(iterations, info.iterations)
-        roots_converged = roots_converged and info.converged
-        return sign * root
+        key = (sign, y)
+        if key not in roots:
+            roots[key] = _momentum_root(model, sign, y)
+        found = roots[key]
+        if found is None:
+            raise _NoRoot
+        cost, root_iterations, root_converged = found
+        iterations = max(iterations, root_iterations)
+        roots_converged = roots_converged and root_converged
+        return cost
 
     lo, hi = sorted((start, end))
     inside = sorted({float(p) for p in breakpoints if lo < p < hi})

@@ -16,6 +16,11 @@ drift with constant jumps, the reference for ``action.minimize_action``.
 ``RotatedAffineJumps.cost`` is the exact escape cost of a rotated product
 of 1-D OU processes with one affine jump per axis, the reference for the
 pipeline's ``minimum_action`` route.
+
+``chain_rate`` is ``-(1/n) log`` of the exact stationary law of a
+discretized 1-D generator with one constant upward jump, a check of the
+``hamiltonian_quadrature`` route with jumps that shares no code with it:
+no ``quad``, no ``brentq`` and no Hamiltonian.
 """
 
 import itertools
@@ -151,6 +156,66 @@ class RotatedAffineJumps:
             assert res.converged
             total += res.value
         return total
+
+
+def chain_rate(
+    potential: Sequence[float],
+    sigma: float,
+    rate: float,
+    size: float,
+    n: int,
+    cells_per_jump: int,
+    points: np.ndarray,
+    box: tuple[float, float],
+) -> np.ndarray:
+    """``I_n(x) = -(1/n) log pi_n(x) - min``, from the generator of a grid chain at scale ``n``.
+
+    The process is ``dX = b dt + n^{-1/2} sigma dW`` plus compensated jumps
+    of ``size / n > 0`` at rate ``n rate``, with ``b = -U'`` for the
+    polynomial ``U`` of ascending ``potential`` coefficients.  On the grid of
+    step ``h = size / (n k)``, ``k = cells_per_jump``, over ``box``:
+
+    - drift and diffusion move one cell by the Scharfetter-Gummel rates
+      (*IEEE Trans. Electron Devices* 16, 1969) of the compensated drift
+      ``b - rate * size`` at the edge midpoint and ``D = sigma^2 / (2n)``:
+      ``D/h^2 B(-z)`` up and ``D/h^2 B(z)`` down, ``z = (b - rate size) h / D``,
+      ``B(z) = z / (e^z - 1)``; without jumps their ratio ``e^z`` is the
+      exact Gibbs ratio of a piecewise constant drift;
+    - each jump moves ``k`` cells up; past the top cell it lands there.
+
+    The chain moves down one cell at a time, so across the cut between
+    cells ``i`` and ``i + 1`` the stationary law balances exactly:
+    ``pi_{i+1} down_i = pi_i up_i + n rate sum_{m=i-k+1}^{i} pi_m``.  That
+    is the Grassmann-Taksar-Heyman elimination (*Oper. Res.* 33, 1985) in
+    closed form, run upward from the bottom cell in log space, with O(N k)
+    work and no linear solve or underflow.  The law below a cell does not
+    depend on the cells above it.  ``I_n`` is linearly interpolated at
+    ``points``.  A downward jump makes the chain's lower bandwidth ``k`` and
+    breaks the recursion; a jump size that varies with the state does not
+    land on whole cells.  Neither is covered.
+    """
+    h = size / (n * cells_per_jump)
+    lower, upper = box
+    x = lower + h * np.arange(math.ceil((upper - lower) / h) + 1)
+    slope = np.polynomial.polynomial.polyder(potential)
+    drift = -np.polynomial.polynomial.polyval(x[:-1] + 0.5 * h, slope) - rate * size
+    diffusion = sigma**2 / (2 * n)
+    z = drift * h / diffusion
+
+    def bernoulli(t: np.ndarray) -> np.ndarray:
+        out = np.ones_like(t)
+        return np.divide(t, np.expm1(t), out=out, where=t != 0.0)
+
+    up = (diffusion / h**2 * bernoulli(-z)).tolist()
+    log_down = np.log(diffusion / h**2 * bernoulli(z)).tolist()
+    jump = n * rate
+    log_pi = [0.0]
+    for i, (u, ld) in enumerate(zip(up, log_down)):
+        here = log_pi[i]
+        window = sum(math.exp(q - here) for q in log_pi[max(0, i - cells_per_jump + 1) :])
+        log_pi.append(here + math.log(u + jump * window) - ld)
+    log_pi = np.array(log_pi)
+    return np.interp(points, x, (log_pi.max() - log_pi) / n)
 
 
 #: Largest attractor set for which exhaustive in-tree enumeration is allowed

@@ -27,8 +27,10 @@ Frozen oracles used here:
   unit jumps e_1, e_2 integrate to the Lyapunov Gramian of (B, I).
 """
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasipot.action import (
+    _MOMENTUM_ROOTS,
     ActionValue,
     _dual_tables,
     _flow_quadrature,
@@ -378,6 +381,79 @@ def test_quasipotential_1d_jump_oracle():
     res = quasipotential_1d(jump_ou_model(), [0.0], [0.8], breakpoints=(0.0,))
     assert res.converged
     assert res.value == pytest.approx(JUMP_OU_ORACLE, abs=1e-12)
+
+
+def affine_two_channel_model():
+    # double-well drift, a constant channel up and an affine channel down
+    atoms = (JumpAtom(0.5, [0.3]), JumpAtom(0.3, [-0.2], [[0.1]]))
+    return LocalModel(1, double_well_model().drift, np.eye(1), atoms)
+
+
+WELLS = (-1.0, 0.0, 1.0)
+# (model factory, breakpoints, (attractor, target) solved in this order)
+SHARED_ROOT_CASES = {
+    "double_well": (
+        double_well_model,
+        WELLS,
+        # -1 -> 0 and 1 -> -1.5 cross [-1, 0] in opposite directions
+        [(-1.0, 0.0), (1.0, -1.5), (-1.0, 1.5), (1.0, 0.0), (1.0, 1.9), (-1.0, -1.7), (1.0, 0.3)],
+    ),
+    "jump_ou": (jump_ou_model, (0.0,), [(0.0, 0.8), (0.0, -0.6), (0.0, 1.2), (0.0, 0.4)]),
+    # the unreachable target first, then reachable ones through the same states, then both again
+    "unreachable": (
+        lambda: jump_ou_model(sigma=0.0, size=0.5),
+        (0.0,),
+        [(0.0, -0.5), (0.0, -0.3), (0.0, 0.5), (0.0, -0.3), (0.0, -0.5)],
+    ),
+    "affine_two_channel": (affine_two_channel_model, WELLS, [(-1.0, 0.0), (1.0, -1.5), (-1.0, 1.5), (1.0, 0.3)]),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_ROOT_CASES)
+def test_quasipotential_1d_shares_roots_without_changing_a_bit(case, monkeypatch):
+    import scipy.optimize
+
+    make, breakpoints, pairs = SHARED_ROOT_CASES[case]
+    root_solves = []
+    brentq = scipy.optimize.brentq
+
+    def counted(*args, **kwargs):
+        root_solves.append(1)
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "brentq", counted)
+    results, solves = {}, {}
+    for shared in (True, False):
+        root_solves.clear()
+        model = make()
+        results[shared] = [
+            quasipotential_1d(model if shared else make(), [a], [x], breakpoints=breakpoints) for a, x in pairs
+        ]
+        solves[shared] = len(root_solves)
+    for one, fresh in zip(results[True], results[False]):
+        assert (one.value, one.dual_iterations, one.converged) == (fresh.value, fresh.dual_iterations, fresh.converged)
+    assert 0 < solves[True] < solves[False]
+
+
+def test_quasipotential_1d_roots_live_and_die_with_their_model():
+    gc.collect()
+    held = len(_MOMENTUM_ROOTS)
+    model, twin = jump_ou_model(), jump_ou_model()
+    quasipotential_1d(model, [0.0], [0.8], breakpoints=(0.0,))
+    assert _MOMENTUM_ROOTS[model]
+    # a model equal in every value is another model: it starts with no roots
+    assert twin not in _MOMENTUM_ROOTS
+    quasipotential_1d(twin, [0.0], [0.8], breakpoints=(0.0,))
+    assert _MOMENTUM_ROOTS[twin] is not _MOMENTUM_ROOTS[model]
+    assert len(_MOMENTUM_ROOTS) == held + 2
+    alive = weakref.ref(model)
+    del model
+    gc.collect()
+    assert alive() is None
+    assert len(_MOMENTUM_ROOTS) == held + 1
+    del twin
+    gc.collect()
+    assert len(_MOMENTUM_ROOTS) == held
 
 
 def test_jump_dual_converges_at_rounding():

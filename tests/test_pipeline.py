@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import RotatedAffineJumps
+from conftest import RotatedAffineJumps, chain_rate
 from quasipot.pipeline import (
     BalanceError,
     SolverError,
@@ -464,6 +464,34 @@ SHIPPED_METHODS = {
     "nonnormal2d": "convex_dual",
     "ou1d": "hamiltonian_quadrature",
 }
+
+
+TILTED_WELL = [0.0, 0.1, -0.5, 0.0, 0.25]  # U = x^4/4 - x^2/2 + 0.1 x
+
+
+def test_rates_with_an_upward_jump_match_the_discretized_generator():
+    # The chain's law is exact at each n, with no Monte Carlo noise; its error
+    # I_n - I is c(x)/n plus a grid term, and 2 I_2n - I_n leaves a grid floor
+    # that falls as 1/k^2 (1.6e-4 at k = 4, 4.0e-5 at 8, 1.0e-5 at 16).  Removing
+    # the compensator -p f from the Hamiltonian moves the rates by 0.55.
+    points = np.linspace(-1.6, 1.6, 17)
+    box = (-2.2, 1.7)
+    # the oracle itself, without jumps: the Gibbs rate 2 (U - min U) / sigma^2
+    potential = np.polynomial.Polynomial(TILTED_WELL)
+    gibbs = 2.0 * (potential(points) - potential(potential.deriv().roots().real).min())
+    assert np.abs(chain_rate(TILTED_WELL, 1.0, 0.0, 0.3, 100, 16, points, box) - gibbs).max() < 1e-7
+    spec = {
+        "dimension": 1,
+        "drift": {"kind": "gradient_polynomial", "coefficients": TILTED_WELL},
+        "diffusion": [[1.0]],
+        "jumps": [{"rate": 0.5, "vector": [0.3]}],
+        "box": {"lower": [-2.0], "upper": [2.0], "resolution": 13},
+        "evaluation_points": points[:, None].tolist(),
+    }
+    report = run_rates(parse_problem_spec(spec))
+    assert report.unconverged == 0
+    coarse, fine = (chain_rate(TILTED_WELL, 1.0, 0.5, 0.3, n, 16, points, box) for n in (200, 400))
+    assert np.abs(2.0 * fine - coarse - report.evaluation_rates).max() < 5e-5
 
 
 def test_shipped_specs_pin_their_escape_cost_method(monkeypatch):
