@@ -17,6 +17,7 @@ for solver failures, 4 when computed rates violate flux balance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,7 +45,9 @@ EXIT_SOLVER = 3
 EXIT_BALANCE = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later ``main``."""
     parser = argparse.ArgumentParser(
         prog="quasipot",
         description="Rate functions of invariant measures for small-noise jump diffusions.",

@@ -3,8 +3,11 @@
 A model is a drift field ``b``, a constant ``(d, m)`` diffusion matrix
 ``sigma`` and a finite family of jump channels, each with a constant
 arrival rate and an affine jump vector ``f_j(y) = a_j + M_j y``.  The drift
-is a :class:`LinearDrift` or :class:`PolynomialDrift`: batched, ``(..., d)``
-to ``(..., d)``, with its exact ``jacobian``, ``(..., d)`` to ``(..., d, d)``.
+is a :class:`LinearDrift` or :class:`PolynomialDrift`.  Both keep one protocol:
+``drift(y)`` maps ``(..., d)`` to ``(..., d)``; ``drift.jacobian(y)`` is its exact
+Jacobian, ``(..., d)`` to ``(..., d, d)``; and ``drift.into(y, out)`` writes ``drift(y)``,
+bit for bit, into a preallocated ``out`` of ``y``'s shape.  ``out`` must not
+alias ``y``: the Horner steps read ``y`` after the first write to ``out``.
 
 The local covariance ``c(y) = sigma sigma^T + sum_j nu_j f_j f_j^T`` governs
 nondegeneracy: every routine that inverts it checks positive definiteness
@@ -37,6 +40,9 @@ class LinearDrift:
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float) @ self.matrix.T
 
+    def into(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.matmul(y, self.matrix.T, out)
+
     def jacobian(self, y: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.matrix, np.shape(y)[:-1] + self.matrix.shape)
 
@@ -55,15 +61,17 @@ def _horner_plan(coefficients: np.ndarray) -> tuple[float, tuple[float | None, .
     return start, tuple(a for a in steps if a is None or a or not np.signbit(a))
 
 
-def _horner(x: np.ndarray, start: float, steps: tuple[float | None, ...]) -> np.ndarray:
-    """``x * start``, then per step ``acc *= x`` for None and ``acc += a`` for a float ``a``."""
-    acc = x * start
+def _horner(x: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
+    """For ``plan = (start, steps)``: ``out = x * start``, then ``out *= x`` for None, ``out += a`` for ``a``."""
+    multiply, add = np.multiply, np.add
+    start, steps = plan
+    multiply(x, start, out)
     for a in steps:
         if a is None:
-            acc *= x
+            multiply(out, x, out)
         else:
-            acc += a
-    return acc
+            add(out, a, out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,10 +98,15 @@ class PolynomialDrift:
         object.__setattr__(self, "_slope_plan", _horner_plan(P.polyder(coeffs)))
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        return _horner(np.asarray(y, dtype=float)[..., :1], *self._value_plan)
+        x = np.asarray(y, dtype=float)[..., :1]
+        return _horner(x, self._value_plan, np.empty_like(x))
+
+    def into(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return _horner(y, self._value_plan, out)
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
-        return _horner(np.asarray(y, dtype=float)[..., :1], *self._slope_plan)[..., None]
+        x = np.asarray(y, dtype=float)[..., :1]
+        return _horner(x, self._slope_plan, np.empty_like(x))[..., None]
 
 
 Drift = LinearDrift | PolynomialDrift
@@ -135,7 +148,7 @@ class DegenerateCovariance(ValueError):
 class LocalModel:
     """Jump diffusion ``dX = b dt + n^{-1/2} sigma dW + jump noise``.
 
-    ``drift`` maps ``(..., d) -> (..., d)`` and has a ``jacobian``; ``diffusion``
+    ``drift`` maps ``(..., d) -> (..., d)`` and has a ``jacobian`` and ``into``; ``diffusion``
     is a constant ``(d, m)`` matrix, stored read-only with ``noise_cov = sigma sigma^T``.
     Jump channels fire at rate ``n * nu_j`` with increments ``f_j(X) / n``,
     so drift, diffusion and jumps all contribute at the same exponential
@@ -155,8 +168,8 @@ class LocalModel:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        if not callable(getattr(self.drift, "jacobian", None)):
-            raise ValueError("drift must carry its Jacobian, as LinearDrift and PolynomialDrift do")
+        if not all(callable(getattr(self.drift, name, None)) for name in ("jacobian", "into")):
+            raise ValueError("drift must carry its Jacobian and `into`, as LinearDrift and PolynomialDrift do")
         if callable(self.diffusion):
             raise ValueError("diffusion must be a constant (d, m) matrix, not a callable")
         sig = np.array(self.diffusion, dtype=float)

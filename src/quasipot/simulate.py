@@ -15,7 +15,9 @@ number of replicas or rungs run together.  Without jumps the rungs share
 each replica's normals and only scale them by ``sqrt(dt / n)``; with jumps
 every (rung, replica) pair keeps its own stream, because the Poisson draws
 depend on ``n``.  Kicks are scaled, and the blowup test runs, once per
-chunk of ``_CHUNK`` steps.
+chunk of ``_CHUNK`` steps.  Each step is its float operations alone: the
+drift's ``into`` writes ``b(X)`` in place into the step's increment, and
+the draw buffers of a block are allocated once per run, not once per block.
 Occupation statistics turn into empirical rates via
 ``-(1/n) log(relative frequency)``, shifted so the most occupied bin sits
 at rate 0.
@@ -146,7 +148,8 @@ def simulate(model: LocalModel, config: SimConfig) -> np.ndarray:
     stream, because its Poisson draws at rate ``n nu dt`` interleave with
     its normals.  Every model takes one step in the float operations of a
     per-step loop, so samples do not depend on ``_CHUNK``; a blowup names
-    the first step, and the lowest rung, past the limit.
+    the first step, and the lowest rung, past the limit.  A step writes the drift
+    in place and allocates nothing; the draw buffers are allocated once per call.
     """
     d = model.dim
     if config.initial is None:
@@ -178,52 +181,58 @@ def simulate(model: LocalModel, config: SimConfig) -> np.ndarray:
     hist[0] = np.tile(config.initial, (rungs, 1))
     kick, weights, incr = np.empty((_CHUNK, rows, d)), np.empty((_CHUNK, rows, j)), np.empty((rows, d))
     kick_in, weights_in = (a.reshape(_CHUNK, rungs, reps, -1).transpose(1, 2, 0, 3) for a in (kick, weights))
+    # the step loop's operands: row views made once, ufuncs bound locally, ``out`` positional
+    states, kick_rows, weight_rows = list(hist), list(kick), list(weights)
+    into, jump_values, multiply, add, einsum = model.drift.into, model.jump_values, np.multiply, np.add, np.einsum
+    # one block's draws, reused by every block: unscaled sigma xi, one row per stream set,
+    # (1 or rungs, replicas, block, d), and the Poisson counts (rungs, replicas, block, j)
+    kicks = np.empty((len(streams), reps, min(_BLOCK, total_steps), d))
+    counts = np.empty((rungs, reps, kicks.shape[2], j))
     out = np.empty((rungs, reps, snapshots, d))
     step = 0
-    while step < total_steps:
-        block = min(_BLOCK, total_steps - step)
-        # unscaled sigma xi, one row per stream set: (1 or rungs, replicas, block, d)
-        kicks = np.empty((len(streams), reps, block, d))
-        for g, rngs in enumerate(streams):
-            for r, rng in enumerate(rngs):
-                np.einsum("dm,km->kd", sigma, rng.standard_normal((block, m)), out=kicks[g, r])
-        if j:
-            counts = np.array(
-                [[rng.poisson(n * nu * dt, (block, j)) for rng in rngs] for n, rngs in zip(n_values, streams)],
-                dtype=float,
-            )
-        for k0 in range(0, block, _CHUNK):
-            c = min(_CHUNK, block - k0)
-            np.multiply(kicks[:, :, k0 : k0 + c], scale, out=kick_in[:, :, :c])
+    # a runaway keeps stepping to its chunk's end; its overflow is caught below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < total_steps:
+            block = min(_BLOCK, total_steps - step)
+            for g, rngs in enumerate(streams):
+                for r, rng in enumerate(rngs):
+                    np.einsum("dm,km->kd", sigma, rng.standard_normal((block, m)), out=kicks[g, r, :block])
             if j:
-                np.subtract(counts[:, :, k0 : k0 + c] / n_col, nu * dt, out=weights_in[:, :, :c])
-            # a runaway keeps stepping to the chunk's end; its overflow is caught below, not warned
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i, x in enumerate(hist[:c]):
-                    np.multiply(model.drift_at(x), dt, out=incr)
-                    incr += kick[i]
+                for n, rngs, per_rung in zip(n_values, streams, counts):
+                    for rng, row in zip(rngs, per_rung):
+                        row[:block] = rng.poisson(n * nu * dt, (block, j))
+            for k0 in range(0, block, _CHUNK):
+                c = min(_CHUNK, block - k0)
+                np.multiply(kicks[:, :, k0 : k0 + c], scale, out=kick_in[:, :, :c])
+                if j:
+                    np.subtract(counts[:, :, k0 : k0 + c] / n_col, nu * dt, out=weights_in[:, :, :c])
+                for i in range(c):
+                    x = states[i]
+                    into(x, incr)
+                    multiply(incr, dt, incr)
+                    add(incr, kick_rows[i], incr)
                     if j:
-                        incr += np.einsum("rj,rjd->rd", weights[i], model.jump_values(x))
-                    np.add(x, incr, out=hist[i + 1])
-            # one flat maximum per chunk is cheaper than per-rung maxima; a NaN
-            # also fails it, but only a rung past the limit raises, as in a one-rung run
-            if not np.abs(hist[1 : c + 1]).max() <= BLOWUP_LIMIT:
-                over = np.abs(hist[1 : c + 1]).reshape(c, rungs, -1).max(axis=2) > BLOWUP_LIMIT
-                if over.any():
-                    first, rung = np.argwhere(over)[0]  # the earliest step, then the lowest rung
-                    at = step + first + 1
-                    raise SimulationBlowup(
-                        n_values[rung],
-                        f"state magnitude exceeded {BLOWUP_LIMIT:g} at step {at} "
-                        f"(time {at * dt:.6g}); the drift does not appear to "
-                        "confine the dynamics on this domain",
-                    )
-            # the first recorded step after this chunk's start, then every stride-th one
-            recorded = burn + config.stride * max(1, (step - burn) // config.stride + 1)
-            for at in range(recorded, step + c + 1, config.stride):
-                out[:, :, (at - burn) // config.stride - 1] = hist[at - step].reshape(rungs, reps, d)
-            hist[0] = hist[c]
-            step += c
+                        add(incr, einsum("rj,rjd->rd", weight_rows[i], jump_values(x)), incr)
+                    add(x, incr, states[i + 1])
+                # one flat maximum per chunk is cheaper than per-rung maxima; a NaN
+                # also fails it, but only a rung past the limit raises, as in a one-rung run
+                if not np.abs(hist[1 : c + 1]).max() <= BLOWUP_LIMIT:
+                    over = np.abs(hist[1 : c + 1]).reshape(c, rungs, -1).max(axis=2) > BLOWUP_LIMIT
+                    if over.any():
+                        first, rung = np.argwhere(over)[0]  # the earliest step, then the lowest rung
+                        at = step + first + 1
+                        raise SimulationBlowup(
+                            n_values[rung],
+                            f"state magnitude exceeded {BLOWUP_LIMIT:g} at step {at} "
+                            f"(time {at * dt:.6g}); the drift does not appear to "
+                            "confine the dynamics on this domain",
+                        )
+                # the first recorded step after this chunk's start, then every stride-th one
+                recorded = burn + config.stride * max(1, (step - burn) // config.stride + 1)
+                for at in range(recorded, step + c + 1, config.stride):
+                    out[:, :, (at - burn) // config.stride - 1] = hist[at - step].reshape(rungs, reps, d)
+                hist[0] = hist[c]
+                step += c
     return out.reshape(rungs, reps * snapshots, d)
 
 

@@ -39,13 +39,16 @@ from quasipot.models import JumpAtom, LinearDrift, LocalModel
 
 @dataclass(frozen=True)
 class AnalyticDrift:
-    """A batched drift ``(..., d) -> (..., d)`` with its Jacobian ``(..., d, d)``."""
+    """A batched drift ``(..., d) -> (..., d)`` with its Jacobian ``(..., d, d)`` and ``into``."""
 
     field: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return self.field(y)
+
+    def into(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out[...] = self.field(y)
 
 
 def finite_horizon_dual(model, target: Sequence[float], horizon: float) -> float:

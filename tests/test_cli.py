@@ -408,8 +408,11 @@ def test_solves_run_on_the_calling_thread_in_task_order(tmp_path, monkeypatch):
 def test_repeated_runs_are_byte_identical(tmp_path):
     spec = write_spec(tmp_path, fast_ou_spec())
     out_a, out_b = tmp_path / "a", tmp_path / "b"
+    cli._build_parser.cache_clear()
     assert cli.main(["rates", "--spec", spec, "--out", str(out_a)]) == 0
     assert cli.main(["rates", "--spec", spec, "--out", str(out_b), "--threads", "3"]) == 0
+    # one parser serves both calls: it is built on the first
+    assert cli._build_parser.cache_info().misses == 1
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
     assert (out_a / "rates.csv").read_bytes() == (out_b / "rates.csv").read_bytes()
 

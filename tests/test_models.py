@@ -124,6 +124,32 @@ def test_polynomial_drift_equals_polyval_bitwise(coeffs, y):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+#: Finite entries with signed zeros mixed in.
+SIGNED_FLOATS = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+#: A ``LinearDrift`` of dimension 1 to 5 with a state of shape (d,), (k, d) or (r, k, d).
+LINEAR_CASES = st.sampled_from([1, 2, 3, 5]).flatmap(
+    lambda d: st.tuples(
+        hnp.arrays(float, (d, d), elements=SIGNED_FLOATS).map(LinearDrift),
+        hnp.arrays(float, st.sampled_from([(d,), (7, d), (2, 3, d)]), elements=SIGNED_FLOATS | st.just(np.nan)),
+    )
+)
+
+
+@given(st.tuples(POLY_COEFFS.map(PolynomialDrift), POLY_STATES) | LINEAR_CASES)
+@example((PolynomialDrift([-0.0, 0.15, -0.0, -0.15]), np.r_[np.linspace(-2.2, 2.2, 45), -0.0, np.nan][:, None]))
+@example((LinearDrift([[-1.0, 0.4], [-0.3, -1.5]]), np.random.default_rng(5).normal(size=(384, 2))))
+@settings(max_examples=300, deadline=None)
+def test_drift_into_equals_call_bitwise(case):
+    """``into`` writes what ``__call__`` returns, bit for bit, signed zeros and NaN alike."""
+    drift, y = case
+    out = np.full_like(y, 7.0)  # stale contents must not leak into the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = drift(y)
+        drift.into(y, out)
+    assert np.array_equal(out, want, equal_nan=True)
+    assert np.array_equal(np.signbit(out), np.signbit(want))
+
+
 @pytest.mark.parametrize(
     "drift, d",
     [

@@ -6,10 +6,15 @@ practice: the OU stationary variance at scale n is sigma^2 / (2 k n), and a
 used here.
 """
 
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quasipot.models import JumpAtom, LinearDrift, LocalModel, PolynomialDrift
+from quasipot.pipeline import parse_problem_spec
 from quasipot.simulate import (
     _BLOCK,
     _CHUNK,
@@ -190,8 +195,20 @@ def rotated_jump_model():
     return LocalModel(2, LinearDrift(matrix), sigma, atoms)
 
 
-REFERENCE_CASES = [(ou_model(k=0.7, s=1.3), np.zeros(1)), (rotated_jump_model(), np.array([0.2, -0.1]))]
-REFERENCE_MODELS = pytest.mark.parametrize("model, initial", REFERENCE_CASES, ids=["1d-no-jumps", "2d-m2-jumps"])
+def double_well_mc_model():
+    """The model of ``specs/double_well_mc.json``: a ``gradient_polynomial`` drift with -0.0 coefficients."""
+    spec = Path(__file__).resolve().parent.parent / "specs" / "double_well_mc.json"
+    return parse_problem_spec(json.loads(spec.read_text())).build_model()
+
+
+REFERENCE_CASES = [
+    (ou_model(k=0.7, s=1.3), np.zeros(1)),
+    (rotated_jump_model(), np.array([0.2, -0.1])),
+    (double_well_mc_model(), np.array([-1.0])),
+]
+REFERENCE_MODELS = pytest.mark.parametrize(
+    "model, initial", REFERENCE_CASES, ids=["1d-no-jumps", "2d-m2-jumps", "1d-double-well"]
+)
 
 
 @pytest.mark.parametrize(
@@ -201,10 +218,10 @@ REFERENCE_MODELS = pytest.mark.parametrize("model, initial", REFERENCE_CASES, id
         (*REFERENCE_CASES[0], 9 * _CHUNK + 3, 0, _CHUNK + 13),
         (*REFERENCE_CASES[0], 7 * _CHUNK + 5, 2 * _CHUNK + 3, 1),
     ],
-    ids=["1d-no-jumps", "2d-m2-jumps", "1d-stride-past-chunk", "1d-ragged-steps-and-burn-in"],
+    ids=["1d-no-jumps", "2d-m2-jumps", "1d-double-well", "1d-stride-past-chunk", "1d-ragged-steps-and-burn-in"],
 )
 def test_simulate_matches_per_step_reference_bitwise(model, initial, steps, burn, stride):
-    # the first two cross one draw-block boundary, so per-block scaling is exercised twice;
+    # the first three cross one draw-block boundary, so per-block scaling is exercised twice;
     # the last two put the stride, the step count and the burn-in off the chunk grid
     cfg = base_config(
         n_values=(30,), horizon=steps * 0.01, burn_in=burn * 0.01, stride=stride, initial=initial, replicas=3
@@ -224,6 +241,19 @@ def test_ladder_rows_match_one_rung_reference_bitwise(model, initial):
     assert ladder.shape[0] == 3
     for row, n in zip(ladder, cfg.n_values):
         assert np.array_equal(row, reference_euler(model, cfg, n))
+
+
+def test_draw_buffers_are_allocated_once():
+    # 2.5 draw blocks: a block's draws must reuse the previous block's buffers, not sit beside them
+    cfg = base_config(horizon=2.5 * _BLOCK * 0.01, burn_in=0.0, replicas=32, stride=_BLOCK // 4)
+    block_kicks = cfg.replicas * _BLOCK * 8
+    tracemalloc.start()
+    try:
+        samples = simulate(ou_model(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block_kicks + samples.nbytes
 
 
 def test_per_replica_initial_states():
