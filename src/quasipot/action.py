@@ -18,7 +18,13 @@ channels that start is already exact.
 
 In one dimension the infimum has a closed form as a quadrature over the
 Hamiltonian's nonzero root, :func:`quasipotential_1d`, which needs neither
-paths nor horizons.
+paths nor horizons, nor scipy.  Its panels run between the equilibria and
+take QUADPACK's 21-point Gauss-Kronrod rule, with every node's root solved
+in one array computation: ``-2 b / c`` without jumps, monotone Newton from
+there with them.  The sums run in QUADPACK's order, so without jumps each
+cost is ``scipy.integrate.quad``'s over ``brentq`` roots bit for bit.
+``converged`` reports the roots and QUADPACK's accuracy test, and
+``dual_iterations`` the Newton count, 0 without jumps.
 
 For linear drift ``b(y) = B y`` with constant jump vectors the running
 cost is ``L(y, v) = ell(v - B y)`` with ``ell`` convex, so the escape cost
@@ -40,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -537,51 +542,126 @@ def _escape_endpoints(
     return a, x
 
 
-class _NoRoot(Exception):
-    """``H(y, p) / p`` keeps one sign in the direction of motion."""
-
-
 #: Largest momentum bracketed before a state counts as impassable.
 _MOMENTUM_REACH = 2.0**200
+# Momentum roots with jumps: Newton iteration cap, and the relative step that is rounding.
+_NEWTON_MAX_ITER = 100
+_NEWTON_RTOL = 4 * np.finfo(float).eps
+# 1-D quadrature: the tolerances and panel limit of QUADPACK's qagse and qagpe
+# as ``quad`` ran them, and QUADPACK's machine constants d1mach(4) and d1mach(1).
+_QUAD_EPSABS = 1e-13
+_QUAD_EPSREL = 1e-12
+_QUAD_LIMIT = 200
+_EPMACH = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
+# QUADPACK's dqk21 (Piessens et al., *QUADPACK*, Springer 1983), per row: a
+# 21-point Kronrod abscissa on [0, 1], largest first and the centre last, its
+# weight, and its 10-point Gauss weight (abscissae 2, 4, ..., 10 from 1).
+_XGK, _WGK, _WG = np.array([
+    [0.995657163025808080735527280689003, 0.011694638867371874278064396062192, 0.0],
+    [0.973906528517171720077964012084452, 0.032558162307964727478818972459390, 0.066671344308688137593568809893332],
+    [0.930157491355708226001207180059508, 0.054755896574351996031381300244580, 0.0],
+    [0.865063366688984510732096688423493, 0.075039674810919952767043140916190, 0.149451349150580593145776339657697],
+    [0.780817726586416897063717578345042, 0.093125454583697605535065465083366, 0.0],
+    [0.679409568299024406234327365114874, 0.109387158802297641899210590325805, 0.219086362515982043995534934228163],
+    [0.562757134668604683339000099272694, 0.123491976262065851077958109831074, 0.0],
+    [0.433395394129247190799265943165784, 0.134709217311473325928054001771707, 0.269266719309996355091226921569469],
+    [0.294392862701460198131126603103866, 0.142775938577060080797094273138717, 0.0],
+    [0.148874338981631210884826001129720, 0.147739104901338491374841515972068, 0.295524224714752870173892994651338],
+    [0.0, 0.149445554002916905664936468389821, 0.0],
+]).T
+# A panel's 21 nodes in half-lengths from its centre: the centre and the right
+# node of each pair in dqk21's order, Gauss nodes first, then the left ones;
+# the weights of the centre and the pair sums in the Kronrod, Gauss and
+# |f| sums; and the order of dqk21's last sum, of |f - mean|, with its weights.
+_GK_PAIRS = [10, 1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
+_GK_NODES = np.concatenate((_XGK[_GK_PAIRS], -_XGK[_GK_PAIRS[1:]]))
+_GK_WEIGHTS = np.stack([_WGK[_GK_PAIRS], _WG[_GK_PAIRS], _WGK[_GK_PAIRS]])[:, None]
+_GK_NATURAL = np.argsort([-1, *_GK_PAIRS[1:]])
+_WGK_NATURAL = _WGK[[10, *range(10)]]
 
-#: Per model object, :func:`_momentum_root` by ``(sign, y)``; an entry dies with its model.
-_MOMENTUM_ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+def _excess(model: LocalModel, sign: float, y: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """``max(0, s p*(y))`` at the states ``y``, Newton's iteration count, and whether every root converged.
 
-def _momentum_root(model: LocalModel, sign: float, y: float) -> tuple[float, int, bool] | None:
-    """``max(0, s p*(y))`` of :func:`quasipotential_1d`, its ``brentq`` iterations and convergence.
-
-    ``None`` where ``H(y, p) / p`` has no root in the direction ``s = sign``
-    up to ``|p| = _MOMENTUM_REACH``.  Where the drift does not oppose the
-    motion the cost is 0 and no root is solved.
+    ``p*`` is the nonzero root of ``H(p)`` of :func:`quasipotential_1d`
+    where the drift opposes the motion ``s = sign``; elsewhere the cost is 0.
+    Without jumps ``p* = -2 b / c``.  With jumps ``H`` there is the jump
+    cumulant, never negative, so Newton starts at the first ``|p| = 1, 2,
+    4, ...`` with ``H > 0`` or at the Gaussian root, whichever is nearer:
+    within twice ``|p*|``, where ``e^{p f}`` stays in range for small
+    ``c``.  ``H`` is convex, so Newton falls monotonically to ``p*``.  The
+    cost is infinite where no start is found up to ``_MOMENTUM_REACH``
+    (only with ``c = 0``), and, unconverged, where ``H`` overflows.
     """
-    from scipy.optimize import brentq
+    b = model.drift_at(y[:, None])[:, 0]
+    opposed = sign * b < 0.0
+    c = float(model.noise_cov[0, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = -2.0 * b / c
+    if not model.jump_rates.size:
+        # with c = 0 the cost is infinite: H = p b has no nonzero root
+        return np.where(opposed, sign * p, 0.0), 0, True
+    rows = np.flatnonzero(opposed)
+    b, p, nu = b[rows], p[rows], model.jump_rates
+    f = model.jump_values(y[rows, None])[:, :, 0]
 
-    state = np.array([[y]])
-    b = float(model.drift_at(state)[0, 0])
-    if sign * b >= 0.0:
-        return 0.0, 0, True
-    c, nu = float(model.noise_cov[0, 0]), model.jump_rates
-    f = model.jump_values(state)[0, :, 0] if nu.size else None
+    def hamiltonian(p: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``H`` and Newton's step ``H / (dH/dp)`` at momenta ``p`` of the rows ``at``."""
+        z = p[:, None] * f[at]
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.expm1(z)
+            h = p * (b[at] + 0.5 * c * p) + (nu * (e - z)).sum(axis=1)
+            return h, h / (b[at] + c * p + (nu * f[at] * e).sum(axis=1))
 
-    def slope(p: float) -> float:
-        """``H(y, p) / p``."""
-        if p == 0.0:
-            return b
-        # with no channels the cumulant is exactly 0.0: same float, no numpy call
-        jumps = float(_jump_cumulant(nu, p * f)) if nu.size else 0.0
-        return b + 0.5 * c * p + jumps / p
+    gauss = np.abs(p)
+    reach = np.ones_like(p)
+    closed = reach >= gauss
+    while not closed.all() and reach.max() <= _MOMENTUM_REACH:
+        at = np.flatnonzero(~closed)
+        closed[at] = hamiltonian(sign * reach[at], at)[0] > 0.0
+        at = at[~closed[at]]
+        reach[at] *= 2.0
+        closed[at] = reach[at] >= gauss[at]
+    p = sign * np.minimum(reach, gauss)
+    active, iterations = np.flatnonzero(closed), 0
+    while active.size and iterations < _NEWTON_MAX_ITER:
+        iterations += 1
+        step = hamiltonian(p[active], active)[1]
+        # a step that stops moving toward 0 (H <= 0) sits at the root to rounding
+        moving = sign * step > 0.0
+        p[active[moving]] -= step[moving]
+        # a step that is not finite leaves nan, and the row unconverged
+        p[active[~np.isfinite(step)]] = np.nan
+        active = active[moving & (np.abs(step) > _NEWTON_RTOL * np.abs(p[active]))]
+    cost = np.zeros_like(y)
+    cost[rows] = np.where(closed & np.isfinite(p), sign * p, math.inf)
+    converged = not active.size and bool(np.isfinite(p[closed]).all())
+    return cost, iterations, converged
 
-    reach = 1.0
-    while sign * slope(sign * reach) <= 0.0:
-        reach *= 2.0
-        if reach > _MOMENTUM_REACH:
-            return None
-    lo, hi = sorted((0.0, sign * reach))
-    root, info = brentq(
-        slope, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps, full_output=True, disp=False
-    )
-    return sign * root, info.iterations, info.converged
+
+def _gk21(fv: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """QUADPACK's dqk21 on panels of half-length ``half``, from ``fv`` at their ``_GK_NODES``.
+
+    Returns each panel's result, error estimate, and dqk21's ``resabs`` and
+    ``resasc``.  Every sum runs in dqk21's order, so each is QUADPACK's bit
+    for bit.
+    """
+    both = np.stack((fv, np.abs(fv)))
+    # the centre, then f(c + h x_k) + f(c - h x_k) per pair: of f and of |f|
+    sums = both[:, :, :11].copy()
+    sums[:, :, 1:] += both[:, :, 11:]
+    resk, resg, resabs = np.add.accumulate(sums[[0, 0, 1]] * _GK_WEIGHTS, axis=2)[:, :, -1]
+    dev = np.abs(fv - 0.5 * resk[:, None])
+    dev[:, 1:11] += dev[:, 11:]
+    resasc = np.add.accumulate(dev[:, _GK_NATURAL] * _WGK_NATURAL, axis=1)
+    resabs, resasc = resabs * half, resasc[:, -1] * half
+    err = np.abs((resk - resg) * half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    err = np.where(resabs > _UFLOW / (50.0 * _EPMACH), np.maximum((_EPMACH * 50.0) * resabs, err), err)
+    return resk * half, err, resabs, resasc
 
 
 def quasipotential_1d(
@@ -599,73 +679,86 @@ def quasipotential_1d(
     ``c = sigma sigma^T`` and ``f_j = f_j(y)``.  ``H`` is convex in ``p``
     with ``H(y, 0) = 0`` and slope ``b`` there, so ``H / p`` is increasing
     and vanishes on the side of ``-b``: only stretches where the drift
-    opposes the motion cost anything, and the root is bracketed there and
-    refined by ``brentq``.  Where ``H / p`` never changes sign in the
-    direction of motion no path passes, and the cost is infinite.
+    opposes the motion cost anything.  Without jumps the root is
+    ``-2 b / c``; with jumps Newton's method refines it (:func:`_excess`).
+    Where ``H / p`` never changes sign in the direction of motion no path
+    passes, and the cost is infinite.
 
-    The integrand depends on the model and ``s`` alone, not on the target,
-    and ``quad`` places the same nodes on every shared subinterval between
-    breakpoints.  So each root, with its iteration count and convergence,
-    is memoized per model object and ``(s, y)`` for as long as the model
-    lives: every solve on one model reuses it, and a new model (one per CLI
-    command) starts empty.  Each solve folds the memoized counts in as if
-    it had solved the roots, so the result is the same bit for bit.  A
-    model with no jump channels evaluates ``H / p`` in plain floats; with
-    channels the cumulant stays on numpy's ``expm1``, whose last bit
-    differs from :func:`math.expm1` on some arguments.
+    ``breakpoints`` (the equilibria, where the integrand has kinks) and the
+    ends split the segment into panels.  Each panel takes QUADPACK's 21-point
+    Gauss-Kronrod rule (dqk21), every node's root solved in one array
+    computation with the far end's, and the panels are added left to right:
+    bit for bit what ``scipy.integrate.quad`` returns with these
+    ``points``, ``epsabs=1e-13`` and ``epsrel=1e-12`` when its first pass
+    meets QUADPACK's own accuracy test.  If it does not, the panels of
+    largest error estimate are bisected, level by level, until the
+    estimates sum to within the tolerance, up to ``quad``'s limit of 200
+    panels.
 
-    ``breakpoints`` (the equilibria, where the integrand has kinks) split
-    the quadrature.  ``converged`` means that every root solve converged
-    and the quadrature raised no warning; ``dual_iterations`` is the largest
-    root-solver iteration count.  Values reaching ``COST_CAP`` are reported
-    as infinite.  The starting point must be an equilibrium of the drift
-    within ``EQUILIBRIUM_TOL``.
+    ``converged`` means that every root converged, the quadrature met its
+    tolerance within 200 panels, and QUADPACK's first-pass roundoff test did
+    not fire; ``dual_iterations`` is the largest Newton iteration count, 0
+    without jumps.  Values reaching ``COST_CAP`` are reported as infinite.
+    The starting point must be an equilibrium of the drift within
+    ``EQUILIBRIUM_TOL``.
     """
     if model.dim != 1:
         raise ValueError(f"quadrature escape costs need dimension 1, got {model.dim}")
     a, x = _escape_endpoints(model, attractor, target)
-    from scipy.integrate import quad
-
     start, end = float(a[0]), float(x[0])
     sign = 1.0 if end >= start else -1.0
-    roots = _MOMENTUM_ROOTS.setdefault(model, {})
-    iterations, roots_converged = 0, True
-
-    def excess(y: float) -> float:
-        """``max(0, s p*(y))``: the cost per unit length at ``y``."""
-        nonlocal iterations, roots_converged
-        key = (sign, y)
-        if key not in roots:
-            roots[key] = _momentum_root(model, sign, y)
-        found = roots[key]
-        if found is None:
-            raise _NoRoot
-        cost, root_iterations, root_converged = found
-        iterations = max(iterations, root_iterations)
-        roots_converged = roots_converged and root_converged
-        return cost
-
     lo, hi = sorted((start, end))
-    inside = sorted({float(p) for p in breakpoints if lo < p < hi})
-    try:
-        # The far end first: a target past the last passable state is
-        # unreachable even if no quadrature node lands beyond that state.
-        excess(end)
-        value, _abserr, _info, *warning = quad(
-            excess,
-            lo,
-            hi,
-            points=inside or None,
-            limit=200,
-            epsabs=1e-13,
-            epsrel=1e-12,
-            full_output=1,
-        )
-    except _NoRoot:
-        return ActionValue(math.inf, iterations, roots_converged)
+    edges = np.array([lo, *sorted({float(p) for p in breakpoints if lo < p < hi}), hi])
+    iterations, converged = 0, True
+
+    def rule(lefts: np.ndarray, rights: np.ndarray, *extra: float) -> tuple[np.ndarray, ...] | None:
+        """:func:`_gk21` on each panel, one root solve for its nodes and ``extra``; ``None`` if one is impassable."""
+        nonlocal iterations, converged
+        half = 0.5 * (rights - lefts)
+        nodes = (0.5 * (lefts + rights)[:, None] + half[:, None] * _GK_NODES).ravel()
+        cost, newton, roots_converged = _excess(model, sign, np.append(nodes, extra))
+        iterations, converged = max(iterations, newton), converged and roots_converged
+        if not np.isfinite(cost).all():
+            return None
+        return _gk21(cost[: nodes.size].reshape(-1, 21), half)
+
+    lefts, rights = edges[:-1], edges[1:]
+    # The far end rides along: a target past the last passable state is
+    # unreachable even if no quadrature node lands beyond that state.
+    first = rule(lefts, rights, end)
+    if first is None:
+        return ActionValue(math.inf, iterations, converged)
+    result, err, resabs, resasc = first
+    total, abserr, absum = np.add.accumulate(np.stack([result, err, resabs]), axis=1)[:, -1]
+    bound = max(_QUAD_EPSABS, _QUAD_EPSREL * abs(total))
+    # QUADPACK's tests of the first pass: qagse's for one panel, qagpe's for more
+    roundoff = abserr <= 100.0 * _EPMACH * absum and abserr > bound
+    converged = converged and not roundoff
+    done = roundoff or abserr <= bound and (len(result) > 1 or abserr != resasc[0]) or abserr == 0.0
+    panels = np.column_stack((lefts, rights, result, err))
+    while not done:
+        # bisect the panels of largest error until the rest hold half the bound
+        order = np.argsort(panels[:, 3])
+        split = order[np.cumsum(panels[order, 3]) > 0.5 * bound]
+        if len(panels) + len(split) > _QUAD_LIMIT:
+            converged = False
+            break
+        left, right = panels[split, 0], panels[split, 1]
+        mid = 0.5 * (left + right)
+        lefts, rights = np.append(left, mid), np.append(mid, right)
+        halves = rule(lefts, rights)
+        if halves is None:
+            return ActionValue(math.inf, iterations, converged)
+        children = np.column_stack((lefts, rights, *halves[:2]))
+        panels = np.concatenate((np.delete(panels, split, axis=0), children))
+        panels = panels[np.argsort(panels[:, 0])]
+        total = np.add.accumulate(panels[:, 2])[-1]
+        bound = max(_QUAD_EPSABS, _QUAD_EPSREL * abs(total))
+        done = panels[:, 3].sum() <= bound
+    value = float(total)
     if value >= COST_CAP:
         value = math.inf
-    return ActionValue(value, iterations, roots_converged and not warning)
+    return ActionValue(value, iterations, converged)
 
 
 @functools.lru_cache(maxsize=16)

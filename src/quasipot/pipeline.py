@@ -867,11 +867,9 @@ def linear_paths_csv_rows(result: dict) -> tuple[list[str], list[list[object]]]:
     origin = result["origin"]
     d = origin.shape[0]
     header = ["r_index", "t"] + [f"x{i}" for i in range(d)]
-    rows: list[list[object]] = []
-    for r_idx, path in enumerate(paths):
-        times = path.times
-        for k in range(path.points.shape[0]):
-            rows.append(
-                [r_idx, float(times[k])] + [float(v) for v in (path.points[k] + origin)]
-            )
+    rows = [
+        [r_idx, t, *p]
+        for r_idx, path in enumerate(paths)
+        for t, p in zip(path.times.tolist(), (path.points + origin).tolist())
+    ]
     return header, rows

@@ -17,6 +17,11 @@ drift with constant jumps, the reference for ``action.minimize_action``.
 of 1-D OU processes with one affine jump per axis, the reference for the
 pipeline's ``minimum_action`` route.
 
+``quasipotential_1d_quad`` is the 1-D escape cost as ``action`` computed
+it before its numpy Gauss-Kronrod route: ``scipy.integrate.quad`` over
+``brentq`` roots, memoized per model.  Without jumps the package's route
+must equal it bit for bit.
+
 ``chain_rate`` is ``-(1/n) log`` of the exact stationary law of a
 discretized 1-D generator with one constant upward jump, a check of the
 ``hamiltonian_quadrature`` route with jumps that shares no code with it:
@@ -25,15 +30,17 @@ no ``quad``, no ``brentq`` and no Hamiltonian.
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
-from quasipot.action import quasipotential_1d
+from quasipot.action import COST_CAP, ActionValue, _escape_endpoints, _jump_cumulant, quasipotential_1d
 from quasipot.maxplus import CostMatrix, StationaryRates
 from quasipot.models import JumpAtom, LinearDrift, LocalModel
 
@@ -90,6 +97,133 @@ def finite_horizon_dual(model, target: Sequence[float], horizon: float) -> float
     # trust-exact may stop at rounding short of its gtol; the gradient decides
     assert np.abs(res.jac).max() <= 1e-9, res.message
     return -float(res.fun)
+
+
+class _NoRoot(Exception):
+    """``H(y, p) / p`` keeps one sign in the direction of motion."""
+
+
+#: Largest momentum bracketed before a state counts as impassable.
+_MOMENTUM_REACH = 2.0**200
+
+#: Per model object, :func:`_momentum_root` by ``(sign, y)``; an entry dies with its model.
+_MOMENTUM_ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _momentum_root(model: LocalModel, sign: float, y: float) -> tuple[float, int, bool] | None:
+    """``max(0, s p*(y))`` of :func:`quasipotential_1d_quad`, its ``brentq`` iterations and convergence.
+
+    ``None`` where ``H(y, p) / p`` has no root in the direction ``s = sign``
+    up to ``|p| = _MOMENTUM_REACH``.  Where the drift does not oppose the
+    motion the cost is 0 and no root is solved.
+    """
+    state = np.array([[y]])
+    b = float(model.drift_at(state)[0, 0])
+    if sign * b >= 0.0:
+        return 0.0, 0, True
+    c, nu = float(model.noise_cov[0, 0]), model.jump_rates
+    f = model.jump_values(state)[0, :, 0] if nu.size else None
+
+    def slope(p: float) -> float:
+        """``H(y, p) / p``."""
+        if p == 0.0:
+            return b
+        # with no channels the cumulant is exactly 0.0: same float, no numpy call
+        jumps = float(_jump_cumulant(nu, p * f)) if nu.size else 0.0
+        return b + 0.5 * c * p + jumps / p
+
+    reach = 1.0
+    while sign * slope(sign * reach) <= 0.0:
+        reach *= 2.0
+        if reach > _MOMENTUM_REACH:
+            return None
+    lo, hi = sorted((0.0, sign * reach))
+    root, info = scipy.optimize.brentq(
+        slope, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps, full_output=True, disp=False
+    )
+    return sign * root, info.iterations, info.converged
+
+
+def quasipotential_1d_quad(
+    model: LocalModel,
+    attractor: Sequence[float],
+    target: Sequence[float],
+    *,
+    breakpoints: Sequence[float] = (),
+) -> ActionValue:
+    """Exact escape cost of a one-dimensional model by Hamiltonian quadrature.
+
+    ``V(a, x) = int max(0, s p*(y)) dy`` over the segment from ``a`` to
+    ``x``, with ``s = sign(x - a)`` and ``p*(y)`` the nonzero root of
+    ``H(y, p) = p b + c p^2 / 2 + sum_j nu_j (e^{p f_j} - 1 - p f_j)``, where
+    ``c = sigma sigma^T`` and ``f_j = f_j(y)``.  ``H`` is convex in ``p``
+    with ``H(y, 0) = 0`` and slope ``b`` there, so ``H / p`` is increasing
+    and vanishes on the side of ``-b``: only stretches where the drift
+    opposes the motion cost anything, and the root is bracketed there and
+    refined by ``brentq``.  Where ``H / p`` never changes sign in the
+    direction of motion no path passes, and the cost is infinite.
+
+    The integrand depends on the model and ``s`` alone, not on the target,
+    and ``quad`` places the same nodes on every shared subinterval between
+    breakpoints.  So each root, with its iteration count and convergence,
+    is memoized per model object and ``(s, y)`` for as long as the model
+    lives: every solve on one model reuses it, and a new model (one per CLI
+    command) starts empty.  Each solve folds the memoized counts in as if
+    it had solved the roots, so the result is the same bit for bit.  A
+    model with no jump channels evaluates ``H / p`` in plain floats; with
+    channels the cumulant stays on numpy's ``expm1``, whose last bit
+    differs from :func:`math.expm1` on some arguments.
+
+    ``breakpoints`` (the equilibria, where the integrand has kinks) split
+    the quadrature.  ``converged`` means that every root solve converged
+    and the quadrature raised no warning; ``dual_iterations`` is the largest
+    root-solver iteration count.  Values reaching ``COST_CAP`` are reported
+    as infinite.  The starting point must be an equilibrium of the drift
+    within ``EQUILIBRIUM_TOL``.
+    """
+    if model.dim != 1:
+        raise ValueError(f"quadrature escape costs need dimension 1, got {model.dim}")
+    a, x = _escape_endpoints(model, attractor, target)
+    start, end = float(a[0]), float(x[0])
+    sign = 1.0 if end >= start else -1.0
+    roots = _MOMENTUM_ROOTS.setdefault(model, {})
+    iterations, roots_converged = 0, True
+
+    def excess(y: float) -> float:
+        """``max(0, s p*(y))``: the cost per unit length at ``y``."""
+        nonlocal iterations, roots_converged
+        key = (sign, y)
+        if key not in roots:
+            roots[key] = _momentum_root(model, sign, y)
+        found = roots[key]
+        if found is None:
+            raise _NoRoot
+        cost, root_iterations, root_converged = found
+        iterations = max(iterations, root_iterations)
+        roots_converged = roots_converged and root_converged
+        return cost
+
+    lo, hi = sorted((start, end))
+    inside = sorted({float(p) for p in breakpoints if lo < p < hi})
+    try:
+        # The far end first: a target past the last passable state is
+        # unreachable even if no quadrature node lands beyond that state.
+        excess(end)
+        value, _abserr, _info, *warning = scipy.integrate.quad(
+            excess,
+            lo,
+            hi,
+            points=inside or None,
+            limit=200,
+            epsabs=1e-13,
+            epsrel=1e-12,
+            full_output=1,
+        )
+    except _NoRoot:
+        return ActionValue(math.inf, iterations, roots_converged)
+    if value >= COST_CAP:
+        value = math.inf
+    return ActionValue(value, iterations, roots_converged and not warning)
 
 
 @dataclass(frozen=True)

@@ -27,22 +27,21 @@ Frozen oracles used here:
   unit jumps e_1, e_2 integrate to the Lyapunov Gramian of (B, I).
 """
 
-import gc
+import json
 import math
+import pathlib
 import warnings
-import weakref
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
 import scipy.optimize
-from conftest import RotatedAffineJumps, finite_horizon_dual
+from conftest import RotatedAffineJumps, finite_horizon_dual, quasipotential_1d_quad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasipot.action import (
-    _MOMENTUM_ROOTS,
     ActionValue,
     _dual_tables,
     _flow_quadrature,
@@ -53,8 +52,10 @@ from quasipot.action import (
     quasipotential_1d,
     quasipotential_dual,
 )
+from quasipot.attractors import find_equilibria, stable_attractors
 from quasipot.linear import MAX_LYAPUNOV_DIM, solve_lyapunov
 from quasipot.models import JumpAtom, LinearDrift, LocalModel, Path, PolynomialDrift
+from quasipot.pipeline import parse_problem_spec
 
 JUMP_DUAL_ORACLE = 0.39353323285015607
 JUMP_OU_ORACLE = 0.55864329896102
@@ -389,71 +390,50 @@ def affine_two_channel_model():
     return LocalModel(1, double_well_model().drift, np.eye(1), atoms)
 
 
-WELLS = (-1.0, 0.0, 1.0)
-# (model factory, breakpoints, (attractor, target) solved in this order)
-SHARED_ROOT_CASES = {
-    "double_well": (
-        double_well_model,
-        WELLS,
-        # -1 -> 0 and 1 -> -1.5 cross [-1, 0] in opposite directions
-        [(-1.0, 0.0), (1.0, -1.5), (-1.0, 1.5), (1.0, 0.0), (1.0, 1.9), (-1.0, -1.7), (1.0, 0.3)],
-    ),
+SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
+
+
+@pytest.mark.parametrize("name", ["double_well", "asym_double_well", "ou1d", "double_well_mc"])
+def test_quasipotential_1d_is_quad_bit_for_bit_on_the_shipped_specs(name):
+    # without jumps the dqk21 panels are QUADPACK's own and every root is -2b/c,
+    # so each escape cost the pipeline asks for is quad's over brentq, bit for bit
+    spec = parse_problem_spec(json.loads((SPECS / f"{name}.json").read_text()))
+    model = spec.build_model()
+    equilibria = find_equilibria(model.drift, spec.box)
+    breakpoints = [eq.position[0] for eq in equilibria]
+    targets = np.union1d(np.linspace(-2.2, 2.2, 400), [spec.box.lower[0], spec.box.upper[0]])
+    for attractor in stable_attractors(equilibria):
+        for x in targets:
+            new = quasipotential_1d(model, attractor.position, [x], breakpoints=breakpoints)
+            ref = quasipotential_1d_quad(model, attractor.position, [x], breakpoints=breakpoints)
+            assert (new.value, new.converged) == (ref.value, ref.converged), (attractor.position, x)
+
+
+# (model factory, breakpoints, (attractor, target) pairs)
+JUMP_CASES = {
     "jump_ou": (jump_ou_model, (0.0,), [(0.0, 0.8), (0.0, -0.6), (0.0, 1.2), (0.0, 0.4)]),
-    # the unreachable target first, then reachable ones through the same states, then both again
-    "unreachable": (
-        lambda: jump_ou_model(sigma=0.0, size=0.5),
-        (0.0,),
-        [(0.0, -0.5), (0.0, -0.3), (0.0, 0.5), (0.0, -0.3), (0.0, -0.5)],
+    # c = 0: unreachable past -0.4, reachable inside it and upward
+    "unreachable": (lambda: jump_ou_model(sigma=0.0, size=0.5), (0.0,), [(0.0, -0.5), (0.0, -0.3), (0.0, 0.5)]),
+    # c = 9e-4: e^{p f} overflows at the Gaussian root -2b/c past y = 0.32
+    "small_noise": (lambda: jump_ou_model(sigma=0.03, size=1.0), (0.0,), [(0.0, 0.5), (0.0, 2.0), (0.0, -1.0)]),
+    "affine_two_channel": (
+        affine_two_channel_model,
+        (-1.0, 0.0, 1.0),
+        [(-1.0, 0.0), (1.0, -1.5), (-1.0, 1.5), (1.0, 0.3), (-1.0, -2.2), (1.0, 2.2)],
     ),
-    "affine_two_channel": (affine_two_channel_model, WELLS, [(-1.0, 0.0), (1.0, -1.5), (-1.0, 1.5), (1.0, 0.3)]),
 }
 
 
-@pytest.mark.parametrize("case", SHARED_ROOT_CASES)
-def test_quasipotential_1d_shares_roots_without_changing_a_bit(case, monkeypatch):
-    import scipy.optimize
-
-    make, breakpoints, pairs = SHARED_ROOT_CASES[case]
-    root_solves = []
-    brentq = scipy.optimize.brentq
-
-    def counted(*args, **kwargs):
-        root_solves.append(1)
-        return brentq(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "brentq", counted)
-    results, solves = {}, {}
-    for shared in (True, False):
-        root_solves.clear()
-        model = make()
-        results[shared] = [
-            quasipotential_1d(model if shared else make(), [a], [x], breakpoints=breakpoints) for a, x in pairs
-        ]
-        solves[shared] = len(root_solves)
-    for one, fresh in zip(results[True], results[False]):
-        assert (one.value, one.dual_iterations, one.converged) == (fresh.value, fresh.dual_iterations, fresh.converged)
-    assert 0 < solves[True] < solves[False]
-
-
-def test_quasipotential_1d_roots_live_and_die_with_their_model():
-    gc.collect()
-    held = len(_MOMENTUM_ROOTS)
-    model, twin = jump_ou_model(), jump_ou_model()
-    quasipotential_1d(model, [0.0], [0.8], breakpoints=(0.0,))
-    assert _MOMENTUM_ROOTS[model]
-    # a model equal in every value is another model: it starts with no roots
-    assert twin not in _MOMENTUM_ROOTS
-    quasipotential_1d(twin, [0.0], [0.8], breakpoints=(0.0,))
-    assert _MOMENTUM_ROOTS[twin] is not _MOMENTUM_ROOTS[model]
-    assert len(_MOMENTUM_ROOTS) == held + 2
-    alive = weakref.ref(model)
-    del model
-    gc.collect()
-    assert alive() is None
-    assert len(_MOMENTUM_ROOTS) == held + 1
-    del twin
-    gc.collect()
-    assert len(_MOMENTUM_ROOTS) == held
+@pytest.mark.parametrize("case", JUMP_CASES)
+def test_quasipotential_1d_with_jumps_matches_the_quad_reference(case):
+    # Newton's roots and the bisected panels move last digits only
+    make, breakpoints, pairs = JUMP_CASES[case]
+    model = make()
+    for a, x in pairs:
+        new = quasipotential_1d(model, [a], [x], breakpoints=breakpoints)
+        ref = quasipotential_1d_quad(model, [a], [x], breakpoints=breakpoints)
+        assert new.converged and ref.converged
+        assert new.value == pytest.approx(ref.value, rel=1e-14, abs=1e-15), (a, x)
 
 
 def test_jump_dual_converges_at_rounding():

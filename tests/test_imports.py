@@ -1,9 +1,9 @@
 """Which scipy modules each route loads, measured in fresh interpreters.
 
 ``import quasipot`` needs numpy alone; scipy is imported by the functions
-that call it: the 1-D quadrature (``scipy.integrate``, ``scipy.optimize``),
-the gMAM step and matrix exponentials larger than ``1 x 1``
-(``scipy.linalg``) and ``minimize_action`` (``scipy.optimize``).
+that call it: the gMAM step and matrix exponentials larger than ``1 x 1``
+(``scipy.linalg``) and ``minimize_action`` (``scipy.optimize``).  The 1-D
+quadrature is numpy only, so no command on a 1-D spec loads scipy.
 """
 
 import json
@@ -63,3 +63,14 @@ def test_rates_on_a_2d_linear_drift_without_jumps_loads_no_scipy(tmp_path):
     [_, (code, loaded)] = probe([("rates", REPO / "specs" / "nonnormal2d.json")], tmp_path)
     assert code == 0
     assert loaded == []
+
+
+def test_rates_and_validate_on_the_1d_specs_load_no_scipy(tmp_path):
+    # the Gauss-Kronrod quadrature of every 1-D escape cost is numpy only
+    one_d = [spec for spec in SPECS if json.loads(spec.read_text())["dimension"] == 1]
+    commands = [("rates", spec) for spec in one_d]
+    commands += [("validate", spec) for spec in one_d if "simulation" in json.loads(spec.read_text())]
+    assert len(commands) == 6
+    for (command, spec), (code, loaded) in zip(commands, probe(commands, tmp_path)[1:]):
+        assert code == 0, f"{command} {spec.name}"
+        assert loaded == [], f"{command} {spec.name} loaded {loaded}"

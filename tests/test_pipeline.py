@@ -494,6 +494,28 @@ def test_rates_with_an_upward_jump_match_the_discretized_generator():
     assert np.abs(2.0 * fine - coarse - report.evaluation_rates).max() < 5e-5
 
 
+
+def test_rates_with_a_downward_jump_match_the_mirrored_generator():
+    # x -> -x turns the downward jump into an upward one and U(x) into U(-x),
+    # so chain_rate runs unchanged on the mirror image, at the mirrored points
+    # and box.  The tilt makes the well asymmetric: the rates with the jump
+    # flipped upward sit 0.04 away.  Removing the compensator -p f from the
+    # Hamiltonian moves them by 0.76.
+    points = np.linspace(-1.6, 1.6, 17)
+    mirrored = [c * (-1) ** k for k, c in enumerate(TILTED_WELL)]
+    spec = {
+        "dimension": 1,
+        "drift": {"kind": "gradient_polynomial", "coefficients": TILTED_WELL},
+        "diffusion": [[1.0]],
+        "jumps": [{"rate": 0.5, "vector": [-0.3]}],
+        "box": {"lower": [-2.0], "upper": [2.0], "resolution": 13},
+        "evaluation_points": points[:, None].tolist(),
+    }
+    report = run_rates(parse_problem_spec(spec))
+    assert report.unconverged == 0
+    coarse, fine = (chain_rate(mirrored, 1.0, 0.5, 0.3, n, 16, -points, (-2.2, 1.7)) for n in (200, 400))
+    assert np.abs(2.0 * fine - coarse - report.evaluation_rates).max() < 5e-5
+
 def test_shipped_specs_pin_their_escape_cost_method(monkeypatch):
     record_solves(monkeypatch)
     specs = Path(__file__).resolve().parents[1] / "specs"
