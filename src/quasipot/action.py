@@ -20,9 +20,10 @@ In one dimension the infimum has a closed form as a quadrature over the
 Hamiltonian's nonzero root, :func:`quasipotential_1d`, which needs neither
 paths nor horizons, nor scipy.  Its panels run between the equilibria and
 take QUADPACK's 21-point Gauss-Kronrod rule, with every node's root solved
-in one array computation: ``-2 b / c`` without jumps, monotone Newton from
-there with them.  The sums run in QUADPACK's order, so without jumps each
-cost is ``scipy.integrate.quad``'s over ``brentq`` roots bit for bit.
+in one array computation: ``-2 b / c`` without jumps, and with them
+monotone Newton from the root of a second-moment bound on the Hamiltonian.
+The sums run in QUADPACK's order, so without jumps each cost is
+``scipy.integrate.quad``'s over ``brentq`` roots bit for bit.
 ``converged`` reports the roots and QUADPACK's accuracy test, and
 ``dual_iterations`` the Newton count, 0 without jumps.
 
@@ -52,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .linear import _expm, solve_lyapunov
-from .models import DegenerateCovariance, LinearDrift, LocalModel, Path
+from .models import DegenerateCovariance, LinearDrift, LocalModel, Path, stacked_linalg
 
 #: Action values at or above this are reported as unreachable (infinite).
 COST_CAP = 1e6
@@ -187,15 +188,10 @@ def _dual_batch(
         hess = _dual_hessian(cov, nu, f, z)
         delta = np.zeros_like(lam)
         rows = np.where(active)[0]
-        try:
-            delta[rows] = np.linalg.solve(hess[rows], grad[rows][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            for r in rows:
-                try:
-                    delta[r] = np.linalg.solve(hess[r], grad[r])
-                except np.linalg.LinAlgError:
-                    stalled[r] = True
-            rows = np.where(active & ~stalled)[0]
+        solution, solved = stacked_linalg(np.linalg.solve, hess[rows], grad[rows][..., None])
+        delta[rows] = solution[..., 0]
+        stalled[rows[~solved]] = True
+        rows = rows[solved]
         # An overflowed Hessian gives no usable step.
         usable = np.isfinite(delta[rows]).all(axis=1)
         stalled[rows[~usable]] = True
@@ -586,13 +582,16 @@ def _excess(model: LocalModel, sign: float, y: np.ndarray) -> tuple[np.ndarray, 
 
     ``p*`` is the nonzero root of ``H(p)`` of :func:`quasipotential_1d`
     where the drift opposes the motion ``s = sign``; elsewhere the cost is 0.
-    Without jumps ``p* = -2 b / c``.  With jumps ``H`` there is the jump
-    cumulant, never negative, so Newton starts at the first ``|p| = 1, 2,
-    4, ...`` with ``H > 0`` or at the Gaussian root, whichever is nearer:
-    within twice ``|p*|``, where ``e^{p f}`` stays in range for small
-    ``c``.  ``H`` is convex, so Newton falls monotonically to ``p*``.  The
-    cost is infinite where no start is found up to ``_MOMENTUM_REACH``
-    (only with ``c = 0``), and, unconverged, where ``H`` overflows.
+    Without jumps ``p* = -2 b / c``.  With jumps, ``e^x - 1 - x >= x^2 / 2``
+    for ``x >= 0`` gives the second-moment bound ``H >= p b + C p^2 / 2``
+    for ``s p > 0``, ``C = c + sum_{s f_j > 0} nu_j f_j^2``, so ``H >= 0`` at
+    its root ``-2 b / C``, past ``p*``.  Newton starts there or at the first
+    ``|p| = 1, 2, 4, ...`` with ``H > 0``, whichever is nearer: the doubling
+    serves ``C = 0``, where the bound has no root, and starts within twice
+    ``|p*|``, where ``e^{p f}`` stays in range, when ``-2 b / C`` lies far
+    beyond.  ``H`` is convex, so Newton falls monotonically to ``p*``.  The
+    cost is infinite where no start is found up to ``_MOMENTUM_REACH`` (only
+    with ``c = 0``), and, unconverged, where ``H`` overflows.
     """
     b = model.drift_at(y[:, None])[:, 0]
     opposed = sign * b < 0.0
@@ -603,7 +602,7 @@ def _excess(model: LocalModel, sign: float, y: np.ndarray) -> tuple[np.ndarray, 
         # with c = 0 the cost is infinite: H = p b has no nonzero root
         return np.where(opposed, sign * p, 0.0), 0, True
     rows = np.flatnonzero(opposed)
-    b, p, nu = b[rows], p[rows], model.jump_rates
+    b, nu = b[rows], model.jump_rates
     f = model.jump_values(y[rows, None])[:, :, 0]
 
     def hamiltonian(p: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -614,16 +613,17 @@ def _excess(model: LocalModel, sign: float, y: np.ndarray) -> tuple[np.ndarray, 
             h = p * (b[at] + 0.5 * c * p) + (nu * (e - z)).sum(axis=1)
             return h, h / (b[at] + c * p + (nu * f[at] * e).sum(axis=1))
 
-    gauss = np.abs(p)
-    reach = np.ones_like(p)
-    closed = reach >= gauss
+    with np.errstate(divide="ignore"):
+        bound = np.abs(2.0 * b / (c + (nu * f * f * (sign * f > 0.0)).sum(axis=1)))
+    reach = np.ones_like(b)
+    closed = reach >= bound
     while not closed.all() and reach.max() <= _MOMENTUM_REACH:
         at = np.flatnonzero(~closed)
         closed[at] = hamiltonian(sign * reach[at], at)[0] > 0.0
         at = at[~closed[at]]
         reach[at] *= 2.0
-        closed[at] = reach[at] >= gauss[at]
-    p = sign * np.minimum(reach, gauss)
+        closed[at] = reach[at] >= bound[at]
+    p = sign * np.minimum(reach, bound)
     active, iterations = np.flatnonzero(closed), 0
     while active.size and iterations < _NEWTON_MAX_ITER:
         iterations += 1
@@ -680,7 +680,7 @@ def quasipotential_1d(
     with ``H(y, 0) = 0`` and slope ``b`` there, so ``H / p`` is increasing
     and vanishes on the side of ``-b``: only stretches where the drift
     opposes the motion cost anything.  Without jumps the root is
-    ``-2 b / c``; with jumps Newton's method refines it (:func:`_excess`).
+    ``-2 b / c``; with jumps Newton's method finds it (:func:`_excess`).
     Where ``H / p`` never changes sign in the direction of motion no path
     passes, and the cost is infinite.
 

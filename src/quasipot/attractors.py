@@ -14,13 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import Drift
+from .models import Drift, stacked_linalg
 
 #: Eigenvalue real parts within this margin of zero make an equilibrium
 #: "marginal": the linearization is too close to neutral to classify.
 CLASSIFICATION_MARGIN = 1e-6
 
-#: Default max-norm drift residual at which a Newton root is accepted.
+#: Max-norm drift residual at which a Newton root is accepted.
 ROOT_TOL = 1e-9
 
 #: Hard cap on the number of Newton seeds a search box may generate.
@@ -133,19 +133,9 @@ def _newton(drift: Drift, seeds: np.ndarray, root_tol: float) -> tuple[np.ndarra
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        jac = drift.jacobian(x[rows])
-        solved = np.ones(rows.size, dtype=bool)
-        try:
-            step = np.linalg.solve(jac, fx[rows][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.zeros((rows.size, x.shape[1]))
-            for i, r in enumerate(rows):
-                try:
-                    step[i] = np.linalg.solve(jac[i], fx[r])
-                except np.linalg.LinAlgError:
-                    solved[i] = False
+        step, solved = stacked_linalg(np.linalg.solve, drift.jacobian(x[rows]), fx[rows][..., None])
         live[rows[~solved]] = False
-        rows, step = rows[solved], step[solved]
+        rows, step = rows[solved], step[solved, :, 0]
         for t in 0.5 ** np.arange(14):  # damped down to 2^-13, the last halving above 1e-4
             x_new = x[rows] - t * step
             f_new = drift(x_new)
@@ -160,25 +150,24 @@ def _newton(drift: Drift, seeds: np.ndarray, root_tol: float) -> tuple[np.ndarra
     return x, res <= root_tol
 
 
-def find_equilibria(drift: Drift, box: SearchBox, root_tol: float = ROOT_TOL) -> list[Equilibrium]:
+def find_equilibria(drift: Drift, box: SearchBox) -> list[Equilibrium]:
     """All drift zeros inside the box found from grid-seeded Newton runs.
 
-    One batched :func:`_newton` search runs from every seed of the grid.
-    Roots closer than ``10 * root_tol`` are treated as duplicates (the
-    first seed in grid order wins), roots that leave the box are discarded,
-    and the survivors are sorted lexicographically by coordinates so the
-    output order does not depend on the seed that found them.  An
+    One batched :func:`_newton` search runs from every seed of the grid and
+    accepts the roots whose residual is at most ``ROOT_TOL``.  Roots closer
+    than ``10 * ROOT_TOL`` are treated as duplicates (the first seed in grid
+    order wins), roots that leave the box are discarded, and the survivors
+    are sorted lexicographically by coordinates so the output order does not
+    depend on the seed that found them.  An
     equilibrium with an eigenvalue real part within
     ``CLASSIFICATION_MARGIN`` of zero is classified "marginal".
     """
-    if not (root_tol > 0):
-        raise ValueError("root tolerance must be positive")
-    found, ok = _newton(drift, box.seeds(), root_tol)
+    found, ok = _newton(drift, box.seeds(), ROOT_TOL)
     found = found[ok & box.contains(found)]
     roots: list[np.ndarray] = []
     while found.shape[0]:  # keep the first seed's root, drop its duplicates
         roots.append(found[0])
-        found = found[np.abs(found - found[0]).max(axis=1) > 10.0 * root_tol]
+        found = found[np.abs(found - found[0]).max(axis=1) > 10.0 * ROOT_TOL]
     roots.sort(key=tuple)
     out = []
     for x in roots:

@@ -144,6 +144,28 @@ class DegenerateCovariance(ValueError):
     """The covariance is singular where the action needs it: the action is not defined there."""
 
 
+def stacked_linalg(op, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``op(*stacks)`` in one stacked LAPACK call, and which matrices it took.
+
+    ``op`` is a stacked ``numpy.linalg`` routine whose result has its last
+    operand's shape, as ``solve`` and ``cholesky`` do.  Only if LAPACK refuses
+    the stack does it go matrix by matrix: a refused matrix's result is zero
+    and its flag ``False``.  Each accepted result equals ``op`` on that matrix
+    alone, bit for bit.
+    """
+    try:
+        return op(*stacks), np.ones(len(stacks[0]), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out, ok = np.zeros(stacks[-1].shape), np.zeros(len(stacks[0]), dtype=bool)
+    for i, operands in enumerate(zip(*stacks)):
+        try:
+            out[i], ok[i] = op(*operands), True
+        except np.linalg.LinAlgError:
+            pass
+    return out, ok
+
+
 @dataclass(frozen=True, eq=False)
 class LocalModel:
     """Jump diffusion ``dX = b dt + n^{-1/2} sigma dW + jump noise``.
@@ -225,15 +247,12 @@ class LocalModel:
     def assert_nondegenerate(self, y: np.ndarray) -> None:
         """Raise unless ``c(y)`` is positive definite at every given state."""
         c = self.local_covariance(np.asarray(y, dtype=float))
-        flat = c.reshape(-1, self.dim, self.dim)
-        for k, mat in enumerate(flat):
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError:
-                raise DegenerateCovariance(
-                    "local covariance is degenerate at a requested state "
-                    f"(index {k} of the batch); the action is not defined there"
-                ) from None
+        ok = stacked_linalg(np.linalg.cholesky, c.reshape(-1, self.dim, self.dim))[1]
+        if not ok.all():
+            raise DegenerateCovariance(
+                "local covariance is degenerate at a requested state "
+                f"(index {ok.argmin()} of the batch); the action is not defined there"
+            )
 
 
 @dataclass(frozen=True, eq=False)

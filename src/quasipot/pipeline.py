@@ -163,11 +163,6 @@ def _as_matrix(v, rows: int, cols: int | None, ctx: str) -> np.ndarray:
     return arr
 
 
-def _cycle_over(states: np.ndarray, replicas: int) -> np.ndarray:
-    """Starting states for ``replicas`` replicas: ``states``' rows, in turn."""
-    return states[np.arange(replicas) % states.shape[0]]
-
-
 @dataclass(frozen=True, eq=False)
 class SolverSettings:
     # Accepted and recorded in provenance, but ignored: no route has a horizon.
@@ -318,19 +313,10 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
         if bin_count < 2:
             raise SpecError("simulation.bins.count must be at least 2")
         bin_edges = [np.linspace(lo, hi, bin_count + 1) for lo, hi in zip(bin_lower, bin_upper)]
-        replicas = _as_int(s.get("replicas", 1), "simulation.replicas")
         initial = None
         if "initial" in s:
             states = _as_list(s["initial"], "simulation.initial", nonempty=True)
-            if len(states) > replicas:
-                raise SpecError(
-                    f"simulation.initial has {len(states)} rows but simulation.replicas "
-                    f"is {replicas}; every row must start a replica"
-                )
-            initial = _cycle_over(
-                np.stack([_as_vector(p, dim, f"simulation.initial[{i}]") for i, p in enumerate(states)]),
-                replicas,
-            )
+            initial = np.stack([_as_vector(p, dim, f"simulation.initial[{i}]") for i, p in enumerate(states)])
         fields = dict(
             n_values=n_values,
             dt=_as_float(s["dt"], "simulation.dt"),
@@ -338,7 +324,7 @@ def parse_problem_spec(raw: dict) -> ProblemSpec:
             horizon=_as_float(s["horizon"], "simulation.horizon"),
             seed=_as_int(s["seed"], "simulation.seed"),
             initial=initial,
-            replicas=replicas,
+            replicas=_as_int(s.get("replicas", 1), "simulation.replicas"),
             stride=_as_int(s.get("stride", 1), "simulation.stride"),
         )
         try:
@@ -726,10 +712,11 @@ def run_validate(
     bin-center escape costs join the batch of solves of the `rates` report,
     so they count toward its failure quota and ``solver_runs``.  Replicas
     start from the spec's ``simulation.initial`` rows or else from the
-    stable attractors, in turn.  One :func:`simulate` call runs the whole
-    ``simulation.n_values`` ladder; each rung's sample cloud gives an
-    empirical rate estimate on the spec bins, compared against the predicted
-    rate at the populated bin centers.
+    first ``replicas`` stable attractors, in turn (:class:`SimConfig`).
+    One :func:`simulate` call runs the whole ``simulation.n_values``
+    ladder; each rung's sample cloud gives an empirical rate estimate on
+    the spec bins, compared against the predicted rate at the populated bin
+    centers.
     """
     if spec.simulation is None:
         raise SpecError("validate requires a 'simulation' section in the problem spec")
@@ -742,7 +729,7 @@ def run_validate(
     report, model, predicted = _solve_rates(spec, bin_centers(spec.bin_edges))
     if config.initial is None:
         attractors = np.stack([eq.position for eq in report.attractors])
-        config = replace(config, initial=_cycle_over(attractors, config.replicas))
+        config = replace(config, initial=attractors[: config.replicas])
     try:
         ladder = simulate(model, config)
     except SimulationBlowup as exc:

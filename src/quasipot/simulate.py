@@ -65,10 +65,11 @@ class SimConfig:
     ``n_values`` are the large-deviation scales of the ladder's rungs: noise
     variance shrinks like ``1/n``.  Samples are recorded every ``stride``
     steps after ``burn_in`` time has elapsed; the run must record at least
-    one.  ``initial`` is one state for all replicas or one per replica;
-    every rung starts from the same states.  ``initial=None`` leaves the
-    states for the caller to fill in with :func:`dataclasses.replace`;
-    :func:`simulate` refuses it.
+    one.  ``initial`` is one state ``(d,)`` or ``k <= replicas`` states
+    ``(k, d)``, and row ``r mod k`` starts replica ``r``: it is stored as
+    ``(replicas, d)``, and every rung starts from the same states.
+    ``initial=None`` leaves the states for the caller to fill in with
+    :func:`dataclasses.replace`; :func:`simulate` refuses it.
     """
 
     n_values: tuple[int, ...]
@@ -104,15 +105,15 @@ class SimConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.initial is None:
             return
-        init = np.atleast_1d(np.asarray(self.initial, dtype=float))
-        if init.ndim == 1:
-            init = np.broadcast_to(init, (self.replicas, init.shape[0])).copy()
-        if init.ndim != 2 or init.shape[0] != self.replicas:
+        init = np.atleast_2d(np.asarray(self.initial, dtype=float))
+        if init.ndim != 2 or not 1 <= init.shape[0] <= self.replicas:
             raise ValueError(
-                f"initial must be (d,) or (replicas, d), got shape {init.shape}"
+                f"initial must be (d,) or (k, d) with 1 <= k <= replicas, got shape {init.shape} "
+                f"and replicas = {self.replicas}; a row past the replicas would start none"
             )
         if not np.isfinite(init).all():
             raise ValueError("initial states must be finite")
+        init = init[np.arange(self.replicas) % init.shape[0]]
         init.flags.writeable = False
         object.__setattr__(self, "initial", init)
 
@@ -140,9 +141,11 @@ def simulate(model: LocalModel, config: SimConfig) -> np.ndarray:
     Row ``k`` holds the samples at scale ``config.n_values[k]``, ordered
     replica-major (all samples of replica 0, then replica 1, ...).  All
     rungs step together as one ``(rungs * replicas, d)`` batch.  Replica
-    ``r`` draws from ``SeedSequence((seed, r))`` in every rung, so each row
-    equals a one-rung run at its ``n``, and each replica's trajectory is
-    independent of how many other replicas or rungs run alongside it.
+    ``r`` starts at ``config.initial[r]`` (:class:`SimConfig` cycles the
+    given states over the replicas) and draws from ``SeedSequence((seed,
+    r))`` in every rung, so each row equals a one-rung run at its ``n``, and
+    each replica's trajectory is independent of how many other replicas or
+    rungs run alongside it.
     Without jumps a replica's normals do not depend on ``n``, so one stream
     per replica feeds every rung; with jumps each (rung, replica) owns a
     stream, because its Poisson draws at rate ``n nu dt`` interleave with

@@ -44,6 +44,7 @@ from hypothesis import strategies as st
 from quasipot.action import (
     ActionValue,
     _dual_tables,
+    _excess,
     _flow_quadrature,
     local_lagrangian,
     minimize_action,
@@ -376,6 +377,14 @@ def test_quasipotential_1d_unreachable_target_is_infinite():
     assert beyond.converged
     assert np.isfinite(quasipotential_1d(model, [0.0], [-0.3]).value)
     assert np.isfinite(quasipotential_1d(model, [0.0], [0.5]).value)
+
+
+def test_momentum_newton_starts_at_the_second_moment_bound():
+    # c = 0 and a jump along the motion: near the attractor p* ~ -2b / (nu f^2),
+    # which the bound's root meets, while doubling from |p| = 1 took 25 steps
+    cost, iterations, converged = _excess(jump_ou_model(sigma=0.0, size=0.5), 1.0, np.array([1e-6]))
+    assert converged and np.isfinite(cost).all()
+    assert iterations <= 5
 
 
 def test_quasipotential_1d_jump_oracle():

@@ -84,8 +84,8 @@ def test_batched_search_matches_one_seed_search_bit_for_bit(drift, box):
         assert hit == (want is not None)
         if hit:
             assert x.tobytes() == want.tobytes()
-    eqs = find_equilibria(drift, box, root_tol=1e-12)
-    want = one_seed_equilibria(drift, box, 1e-12)
+    eqs = find_equilibria(drift, box)
+    want = one_seed_equilibria(drift, box, ROOT_TOL)
     assert [e.position.tobytes() for e in eqs] == [x.tobytes() for x, _ in want]
     assert [e.classification for e in eqs] == [c for _, c in want]
 
@@ -124,7 +124,7 @@ def test_singular_seed_does_not_stop_the_others():
     found, ok = _newton(drift, np.array([[0.0], [0.5], [-3.0]]), 1e-12)
     assert ok.tolist() == [False, True, True]
     assert found[1:, 0].tolist() == [1.0, -1.0]
-    eqs = find_equilibria(drift, SearchBox(np.array([-1.0]), np.array([1.0]), 3), root_tol=1e-12)
+    eqs = find_equilibria(drift, SearchBox(np.array([-1.0]), np.array([1.0]), 3))
     assert [e.position.tolist() for e in eqs] == [[-1.0], [1.0]]
 
 
@@ -174,7 +174,7 @@ def test_seed_budget_cap():
 
 def test_double_well_equilibria():
     box = SearchBox(np.array([-2.0]), np.array([2.0]), 9)
-    eqs = find_equilibria(double_well, box, root_tol=1e-12)
+    eqs = find_equilibria(double_well, box)
     assert [round(float(e.position[0]), 9) for e in eqs] == [-1.0, 0.0, 1.0]
     assert [e.classification for e in eqs] == ["stable", "unstable", "stable"]
     stable = stable_attractors(eqs)
@@ -186,7 +186,7 @@ def test_double_well_equilibria():
 
 def test_duplicate_roots_are_merged():
     box = SearchBox(np.array([-2.0]), np.array([2.0]), 41)
-    eqs = find_equilibria(double_well, box, root_tol=1e-12)
+    eqs = find_equilibria(double_well, box)
     assert len(eqs) == 3
 
 
@@ -194,7 +194,7 @@ def test_roots_outside_box_are_dropped():
     # roots at 0 and 4; the box only covers the first
     field = PolynomialDrift([0.0, 4.0, -1.0])
     box = SearchBox(np.array([-1.0]), np.array([1.0]), 9)
-    eqs = find_equilibria(field, box, root_tol=1e-10)
+    eqs = find_equilibria(field, box)
     assert len(eqs) == 1
     assert eqs[0].position[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -202,7 +202,7 @@ def test_roots_outside_box_are_dropped():
 def test_marginal_classification():
     field = PolynomialDrift([0.0, 0.0, 0.0, -1.0])
     box = SearchBox(np.array([-1.0]), np.array([1.0]), 5)
-    eqs = find_equilibria(field, box, root_tol=1e-10)
+    eqs = find_equilibria(field, box)
     assert eqs[0].classification == "marginal"
     with pytest.raises(ValueError, match="stable"):
         stable_attractors(eqs)
@@ -222,7 +222,7 @@ def test_two_dimensional_system():
         return jac
 
     box = SearchBox(np.array([-1.5, -1.5]), np.array([1.5, 1.5]), 7)
-    eqs = find_equilibria(AnalyticDrift(field, jacobian), box, root_tol=1e-12)
+    eqs = find_equilibria(AnalyticDrift(field, jacobian), box)
     assert len(eqs) == 1
     np.testing.assert_allclose(eqs[0].position, [0.0, 0.0], atol=1e-10)
     np.testing.assert_allclose(eqs[0].jacobian, [[-1.0, 0.0], [0.0, -2.0]], atol=1e-5)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import AnalyticDrift
-from quasipot.models import JumpAtom, LinearDrift, LocalModel, Path, PolynomialDrift
+from quasipot.models import DegenerateCovariance, JumpAtom, LinearDrift, LocalModel, Path, PolynomialDrift, stacked_linalg
 
 DECAY2 = LinearDrift(-np.eye(2))
 
@@ -242,6 +242,27 @@ def test_assert_nondegenerate():
     flat = LocalModel(2, DECAY2, np.array([[1.0], [0.0]]))
     with pytest.raises(ValueError, match="degenerate"):
         flat.assert_nondegenerate(np.zeros(2))
+
+
+def test_assert_nondegenerate_names_the_degenerate_state():
+    # the jump (0, y2) fills the missing direction except where y2 = 0
+    atom = JumpAtom(1.0, [0.0, 0.0], [[0.0, 0.0], [0.0, 1.0]])
+    model = LocalModel(2, DECAY2, np.array([[1.0], [0.0]]), (atom,))
+    y = np.array([[0.0, 1.0], [0.5, -2.0], [1.0, 0.0], [0.0, 3.0]])
+    with pytest.raises(DegenerateCovariance, match="index 2 of the batch"):
+        model.assert_nondegenerate(y)
+    model.assert_nondegenerate(y[[0, 1, 3]])
+
+
+def test_stacked_solve_zeroes_and_flags_only_the_singular_matrix():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3, 1))
+    a[2, :, 0] = 0.0
+    out, ok = stacked_linalg(np.linalg.solve, a, b)
+    assert ok.tolist() == [True, True, False, True, True]
+    assert not out[2].any()
+    for k in (0, 1, 3, 4):
+        assert out[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
 
 
 def test_degenerate_diffusion_fixed_by_jump():

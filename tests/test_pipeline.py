@@ -689,7 +689,7 @@ def test_initial_rows_are_cycled_over_the_replicas(monkeypatch):
 def test_more_initial_rows_than_replicas_is_a_spec_error():
     ladder = {k: v for k, v in SMALL_LADDER.items() if k != "replicas"}
     ladder["initial"] = [[-1.0], [1.0]]
-    with pytest.raises(SpecError, match=r"simulation\.initial has 2 rows .*simulation\.replicas is 1"):
+    with pytest.raises(SpecError, match=r"invalid simulation: initial .*\(2, 1\) and replicas = 1"):
         parse_problem_spec(ou_spec_dict(simulation=ladder))
 
 

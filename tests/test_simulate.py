@@ -64,8 +64,13 @@ def test_config_validation():
         base_config(replicas=0)
     with pytest.raises(ValueError):
         base_config(stride=0)
-    with pytest.raises(ValueError):
-        base_config(initial=np.zeros((3, 1)))  # neither (d,) nor (replicas, d)
+    with pytest.raises(ValueError, match=r"\(5, 1\) and replicas = 4"):
+        base_config(initial=np.zeros((5, 1)))  # a row past the 4 replicas would start none
+
+
+def test_initial_rows_cycle_over_the_replicas():
+    cfg = base_config(initial=[[-1.0], [1.0]], replicas=5)
+    assert cfg.initial.tolist() == [[-1.0], [1.0], [-1.0], [1.0], [-1.0]]
 
 
 def test_simulate_refuses_unset_initial_states():
